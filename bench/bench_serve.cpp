@@ -255,11 +255,14 @@ ScenarioOut runScenario(std::uint64_t Seed, bool Batched, int Straggler = 0) {
     Daemon.startArbiter(Sim, sim::MSec);
 
   Sim.runUntil(NumPhases * PhaseLen);
-  // Drain: arrivals have ended; keep simulating until every queued and
-  // in-service request finished (bounded, in case of a pile-up).
-  while ((Serve.queueDepth(ApiIdx) || Serve.inService(ApiIdx) ||
-          Serve.queueDepth(BatchIdx) || Serve.inService(BatchIdx)) &&
-         Sim.now() < 2 * sim::Sec)
+  // Drain: arrivals have ended; keep simulating until every queued,
+  // forming-batch and in-service request finished (bounded, in case of a
+  // pile-up).
+  auto Pending = [&Serve](unsigned Idx) {
+    return Serve.queueDepth(Idx) + Serve.formingDepth(Idx) +
+           Serve.inService(Idx);
+  };
+  while ((Pending(ApiIdx) || Pending(BatchIdx)) && Sim.now() < 2 * sim::Sec)
     Sim.runUntil(Sim.now() + 5 * sim::MSec);
   Daemon.stopArbiter();
 
@@ -324,9 +327,7 @@ ScenarioOut runScenario(std::uint64_t Seed, bool Batched, int Straggler = 0) {
   Out.BStats[1] = Serve.batchStats(BatchIdx);
   Out.UnderViol =
       Buckets[0][0].Violations != 0 || Buckets[1][0].Violations != 0;
-  Out.Drained = Serve.queueDepth(ApiIdx) == 0 && Serve.inService(ApiIdx) == 0 &&
-                Serve.queueDepth(BatchIdx) == 0 &&
-                Serve.inService(BatchIdx) == 0;
+  Out.Drained = Pending(ApiIdx) == 0 && Pending(BatchIdx) == 0;
 
   if (Batched || Straggler)
     return Out; // the A/B report carries the verdict

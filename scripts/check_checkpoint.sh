@@ -45,141 +45,106 @@ set -euo pipefail
 BENCH=${1:?usage: check_checkpoint.sh <bench_checkpoint> [workdir] [mode]}
 WORKDIR=${2:-$(mktemp -d)}
 MODE=${3:-all}
-mkdir -p "$WORKDIR"
+NAME=check_checkpoint.sh
+PREFIX=ckpt
+. "$(dirname "$0")/lib.sh"
 SEED=42
 
-fail() {
-  echo "check_checkpoint.sh: FAIL: $1" >&2
-  exit 1
-}
-
-# run <tag> <seed> [extra flags...]
-run() {
-  TAG=$1
-  RUNSEED=$2
-  shift 2
-  "$BENCH" --seed "$RUNSEED" "$@" \
-    --trace "$WORKDIR/ckpt.$TAG.trace.json" \
-    >"$WORKDIR/ckpt.$TAG.out" 2>&1 ||
-    fail "run $TAG exited non-zero (see $WORKDIR/ckpt.$TAG.out)"
-}
-
-# Same seed, same virtual-time world: everything must be byte-identical.
-# (The [telemetry] banner embeds the per-run trace path, so drop it.)
-assert_identical() {
-  grep -v '^\[telemetry\]' "$WORKDIR/ckpt.$1.out" >"$WORKDIR/ckpt.$1.flt"
-  grep -v '^\[telemetry\]' "$WORKDIR/ckpt.$2.out" >"$WORKDIR/ckpt.$2.flt"
-  cmp -s "$WORKDIR/ckpt.$1.flt" "$WORKDIR/ckpt.$2.flt" ||
-    fail "stdout differs between identically seeded runs ($1 vs $2)"
-  cmp -s "$WORKDIR/ckpt.$1.trace.json" "$WORKDIR/ckpt.$2.trace.json" ||
-    fail "trace differs between identically seeded runs ($1 vs $2)"
+# The bench compares the restored output element-wise against the
+# reference and round-trips the snapshot; both must be reported.
+migrate_seed() {
+  need "$2" 'identical to the uninterrupted reference' \
+    "migrate seed $1: output not compared against the reference"
+  need "$2" 'round trip byte-identical' \
+    "migrate seed $1: snapshot round trip not verified"
 }
 
 if [ "$MODE" = migrate ] || [ "$MODE" = all ]; then
   # Seed sweep: checkpoint on machine A, restore on machine B, and the
   # retired output must match the uninterrupted reference byte for byte
   # (the bench itself compares element-wise and prints CHECKPOINT: OK).
-  for S in 7 21 42; do
-    run "mig.$S.1" "$S"
-    run "mig.$S.2" "$S"
-    grep -q '^CHECKPOINT: OK$' "$WORKDIR/ckpt.mig.$S.1.out" ||
-      fail "migrate seed $S failed (no CHECKPOINT: OK)"
-    grep -q 'identical to the uninterrupted reference' \
-      "$WORKDIR/ckpt.mig.$S.1.out" ||
-      fail "migrate seed $S: output not compared against the reference"
-    grep -q 'round trip byte-identical' "$WORKDIR/ckpt.mig.$S.1.out" ||
-      fail "migrate seed $S: snapshot round trip not verified"
-    assert_identical "mig.$S.1" "mig.$S.2"
-  done
+  sweep mig 'CHECKPOINT: OK' migrate_seed
 
   MTRACE="$WORKDIR/ckpt.mig.42.1.trace.json"
-  [ -s "$MTRACE" ] || fail "migrate trace file missing or empty: $MTRACE"
+  need_file "$MTRACE" "migrate trace file"
   # The migration story, in trace landmarks: the quiesce drains, the
   # checkpoint captures, and machine B restores.
-  grep -q '"checkpoint_drain"' "$MTRACE" ||
-    fail "no checkpoint quiesce span in trace"
-  grep -q '"checkpoint"' "$MTRACE" || fail "no checkpoint instant in trace"
-  grep -q '"restore"' "$MTRACE" || fail "no restore instant in trace"
+  need "$MTRACE" '"checkpoint_drain"' "no checkpoint quiesce span in trace"
+  need "$MTRACE" '"checkpoint"' "no checkpoint instant in trace"
+  need "$MTRACE" '"restore"' "no restore instant in trace"
 
   MMETRICS="$MTRACE.metrics.txt"
-  [ -s "$MMETRICS" ] || fail "migrate metrics dump missing: $MMETRICS"
-  grep -q 'checkpoint\.quiesce_latency_us' "$MMETRICS" ||
-    fail "no quiesce-latency histogram"
+  need_file "$MMETRICS" "migrate metrics dump"
+  need "$MMETRICS" 'checkpoint\.quiesce_latency_us' \
+    "no quiesce-latency histogram"
 fi
 
 if [ "$MODE" = drain ] || [ "$MODE" = all ]; then
   run drain.1 $SEED --drain
   run drain.2 $SEED --drain
 
-  grep -q '^CHECKPOINT: OK$' "$WORKDIR/ckpt.drain.1.out" ||
-    fail "drain run failed (no CHECKPOINT: OK)"
+  DOUT="$WORKDIR/ckpt.drain.1.out"
+  need "$DOUT" '^CHECKPOINT: OK$' "drain run failed (no CHECKPOINT: OK)"
   assert_identical drain.1 drain.2
 
   # The proactive verdict in the stdout summary: nothing aborted, nothing
   # stranded, nothing detected reactively — and the budget round-trips.
-  grep -Eq '^   aborts avoided: 0 abortive recovery\(s\), 0 thread\(s\) rescued, 0 capacity-drop detection\(s\)$' \
-    "$WORKDIR/ckpt.drain.1.out" ||
-    fail "drain run aborted, stranded, or reactively detected something"
-  grep -Eq '\([1-9][0-9]* shrink\(s\), [1-9][0-9]* grow\(s\)\)' \
-    "$WORKDIR/ckpt.drain.1.out" ||
-    fail "drain run: budget did not both shrink and grow back"
+  need "$DOUT" '^   aborts avoided: 0 abortive recovery\(s\), 0 thread\(s\) rescued, 0 capacity-drop detection\(s\)$' \
+    "drain run aborted, stranded, or reactively detected something"
+  need "$DOUT" '\([1-9][0-9]* shrink\(s\), [1-9][0-9]* grow\(s\)\)' \
+    "drain run: budget did not both shrink and grow back"
 
   DTRACE="$WORKDIR/ckpt.drain.1.trace.json"
-  [ -s "$DTRACE" ] || fail "drain trace file missing or empty: $DTRACE"
+  need_file "$DTRACE" "drain trace file"
   # The warning story, in trace landmarks: the machine announces the
   # domain, the watchdog drains, the region migrates and resumes.
-  grep -q '"fault_domain_warning"' "$DTRACE" ||
-    fail "no domain-warning instant in trace"
-  grep -q '"watchdog_drain"' "$DTRACE" || fail "no watchdog drain in trace"
-  grep -q '"watchdog_drain_done"' "$DTRACE" ||
-    fail "no watchdog drain completion in trace"
-  grep -q '"checkpoint"' "$DTRACE" || fail "no checkpoint instant in trace"
-  grep -q '"restore"' "$DTRACE" || fail "no restore instant in trace"
+  need "$DTRACE" '"fault_domain_warning"' "no domain-warning instant in trace"
+  need "$DTRACE" '"watchdog_drain"' "no watchdog drain in trace"
+  need "$DTRACE" '"watchdog_drain_done"' \
+    "no watchdog drain completion in trace"
+  need "$DTRACE" '"checkpoint"' "no checkpoint instant in trace"
+  need "$DTRACE" '"restore"' "no restore instant in trace"
 
   DMETRICS="$DTRACE.metrics.txt"
-  [ -s "$DMETRICS" ] || fail "drain metrics dump missing: $DMETRICS"
-  grep -q 'machine\.faults\.domain_warnings' "$DMETRICS" ||
-    fail "no domain-warning counter"
-  grep -q 'watchdog\.drain_latency_us' "$DMETRICS" ||
-    fail "no drain-latency histogram"
+  need_file "$DMETRICS" "drain metrics dump"
+  need "$DMETRICS" 'machine\.faults\.domain_warnings' \
+    "no domain-warning counter"
+  need "$DMETRICS" 'watchdog\.drain_latency_us' "no drain-latency histogram"
   # The in-place resume after the drain records its restore latency
   # (the cross-machine restore in migrate mode starts a fresh simulator,
   # where a quiesce-to-restore delta has no meaning).
-  grep -q 'checkpoint\.restore_latency_us' "$DMETRICS" ||
-    fail "no restore-latency histogram"
-  grep -q 'chunk\.reseed' "$DMETRICS" || fail "no chunk-reseed counter"
+  need "$DMETRICS" 'checkpoint\.restore_latency_us' \
+    "no restore-latency histogram"
+  need "$DMETRICS" 'chunk\.reseed' "no chunk-reseed counter"
 fi
 
 if [ "$MODE" = serve ] || [ "$MODE" = all ]; then
   run serve.1 $SEED --serve
   run serve.2 $SEED --serve
 
-  grep -q '^CHECKPOINT: OK$' "$WORKDIR/ckpt.serve.1.out" ||
-    fail "serve run failed (no CHECKPOINT: OK)"
+  SOUT="$WORKDIR/ckpt.serve.1.out"
+  need "$SOUT" '^CHECKPOINT: OK$' "serve run failed (no CHECKPOINT: OK)"
   # Per-class goodput and admitted/shed counters byte-identical across
   # the two same-seed runs: assert_identical compares the whole stdout,
   # including the per-class table.
   assert_identical serve.1 serve.2
 
-  grep -Eq 'migration: [1-9][0-9]* request region\(s\) migrated' \
-    "$WORKDIR/ckpt.serve.1.out" ||
-    fail "serve run migrated no in-flight request"
-  grep -Eq 'traffic: [1-9][0-9]* completion\(s\) before the warning, [1-9][0-9]* after' \
-    "$WORKDIR/ckpt.serve.1.out" ||
-    fail "serve traffic did not keep flowing across the drain"
+  need "$SOUT" 'migration: [1-9][0-9]* request region\(s\) migrated' \
+    "serve run migrated no in-flight request"
+  need "$SOUT" 'traffic: [1-9][0-9]* completion\(s\) before the warning, [1-9][0-9]* after' \
+    "serve traffic did not keep flowing across the drain"
 
   STRACE="$WORKDIR/ckpt.serve.1.trace.json"
-  [ -s "$STRACE" ] || fail "serve trace file missing or empty: $STRACE"
-  grep -q '"serve_drain"' "$STRACE" || fail "no serve drain in trace"
-  grep -q '"migrate"' "$STRACE" || fail "no migrate instant in trace"
-  grep -q '"serve_drain_done"' "$STRACE" ||
-    fail "no serve drain completion in trace"
+  need_file "$STRACE" "serve trace file"
+  need "$STRACE" '"serve_drain"' "no serve drain in trace"
+  need "$STRACE" '"migrate"' "no migrate instant in trace"
+  need "$STRACE" '"serve_drain_done"' "no serve drain completion in trace"
 
   SMETRICS="$STRACE.metrics.txt"
-  [ -s "$SMETRICS" ] || fail "serve metrics dump missing: $SMETRICS"
-  grep -q 'serve\.migrations' "$SMETRICS" || fail "no migration counter"
-  grep -q 'serve\.drain_latency_us' "$SMETRICS" ||
-    fail "no serve drain-latency histogram"
+  need_file "$SMETRICS" "serve metrics dump"
+  need "$SMETRICS" 'serve\.migrations' "no migration counter"
+  need "$SMETRICS" 'serve\.drain_latency_us' \
+    "no serve drain-latency histogram"
 fi
 
 if [ "$MODE" = flags ] || [ "$MODE" = all ]; then
@@ -187,10 +152,9 @@ if [ "$MODE" = flags ] || [ "$MODE" = all ]; then
   if "$BENCH" --sed=42 >"$WORKDIR/ckpt.flags.out" 2>&1; then
     fail "--sed=42 (typo) was silently accepted"
   fi
-  grep -q "unknown flag '--sed=42'" "$WORKDIR/ckpt.flags.out" ||
-    fail "typo'd flag did not name itself in the error"
-  grep -q '^usage:' "$WORKDIR/ckpt.flags.out" ||
-    fail "typo'd flag printed no usage line"
+  need "$WORKDIR/ckpt.flags.out" "unknown flag '--sed=42'" \
+    "typo'd flag did not name itself in the error"
+  need "$WORKDIR/ckpt.flags.out" '^usage:' "typo'd flag printed no usage line"
 fi
 
 echo "check_checkpoint.sh: OK ($MODE, $WORKDIR)"

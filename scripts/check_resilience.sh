@@ -43,167 +43,126 @@ set -euo pipefail
 BENCH=${1:?usage: check_resilience.sh <bench_resilience> [workdir] [mode]}
 WORKDIR=${2:-$(mktemp -d)}
 MODE=${3:-all}
-mkdir -p "$WORKDIR"
+NAME=check_resilience.sh
+PREFIX=resil
+. "$(dirname "$0")/lib.sh"
 SEED=42
-
-fail() {
-  echo "check_resilience.sh: FAIL: $1" >&2
-  exit 1
-}
-
-# run <tag> <seed> [extra flags...]
-run() {
-  TAG=$1
-  RUNSEED=$2
-  shift 2
-  "$BENCH" --seed "$RUNSEED" "$@" \
-    --trace "$WORKDIR/resil.$TAG.trace.json" \
-    >"$WORKDIR/resil.$TAG.out" 2>&1 ||
-    fail "run $TAG exited non-zero (see $WORKDIR/resil.$TAG.out)"
-}
-
-# Same seed, same virtual-time world: everything must be byte-identical.
-# (The [telemetry] banner embeds the per-run trace path, so drop it.)
-assert_identical() {
-  grep -v '^\[telemetry\]' "$WORKDIR/resil.$1.out" >"$WORKDIR/resil.$1.flt"
-  grep -v '^\[telemetry\]' "$WORKDIR/resil.$2.out" >"$WORKDIR/resil.$2.flt"
-  cmp -s "$WORKDIR/resil.$1.flt" "$WORKDIR/resil.$2.flt" ||
-    fail "stdout differs between identically seeded runs ($1 vs $2)"
-  cmp -s "$WORKDIR/resil.$1.trace.json" "$WORKDIR/resil.$2.trace.json" ||
-    fail "trace differs between identically seeded runs ($1 vs $2)"
-}
 
 if [ "$MODE" = legacy ] || [ "$MODE" = all ]; then
   run 1 $SEED
   run 2 $SEED
 
-  grep -q '^RESILIENCE: OK$' "$WORKDIR/resil.1.out" ||
-    fail "run did not recover (no RESILIENCE: OK)"
+  need "$WORKDIR/resil.1.out" '^RESILIENCE: OK$' \
+    "run did not recover (no RESILIENCE: OK)"
   assert_identical 1 2
 
   TRACE="$WORKDIR/resil.1.trace.json"
-  [ -s "$TRACE" ] || fail "trace file missing or empty: $TRACE"
+  need_file "$TRACE" "trace file"
 
   # The recovery story, in trace landmarks: a core fails, the watchdog
   # notices and shrinks capacity, and execution resumes reconfigured.
-  grep -q '"fault_offline"' "$TRACE" || fail "no core-offline instant in trace"
-  grep -q '"watchdog_detect"' "$TRACE" || fail "no watchdog detection in trace"
-  grep -q '"capacity_drop"' "$TRACE" || fail "no capacity-drop instant in trace"
-  grep -Eq '"transition"|"recover"' "$TRACE" ||
-    fail "no pause/reconfigure/resume span in trace"
-  grep -q '"task_fault"' "$TRACE" || fail "no transient task fault in trace"
+  need "$TRACE" '"fault_offline"' "no core-offline instant in trace"
+  need "$TRACE" '"watchdog_detect"' "no watchdog detection in trace"
+  need "$TRACE" '"capacity_drop"' "no capacity-drop instant in trace"
+  need "$TRACE" '"transition"|"recover"' \
+    "no pause/reconfigure/resume span in trace"
+  need "$TRACE" '"task_fault"' "no transient task fault in trace"
 
   # Fault metrics (retries, detections, MTTR) land in the metrics dump.
   METRICS="$TRACE.metrics.txt"
-  [ -s "$METRICS" ] || fail "metrics dump missing: $METRICS"
-  grep -q 'watchdog\.detections' "$METRICS" || fail "no detection counter"
-  grep -q 'watchdog\.mttr_us' "$METRICS" || fail "no MTTR histogram"
-  grep -q '\.faults' "$METRICS" || fail "no fault counter"
+  need_file "$METRICS" "metrics dump"
+  need "$METRICS" 'watchdog\.detections' "no detection counter"
+  need "$METRICS" 'watchdog\.mttr_us' "no MTTR histogram"
+  need "$METRICS" '\.faults' "no fault counter"
 fi
+
+# Non-zero budget transitions in both directions (shrink then grow).
+burst_seed() {
+  need "$2" '^   budget: .* \([1-9][0-9]* shrink\(s\), [1-9][0-9]* grow\(s\)\)$' \
+    "burst seed $1: budget did not both shrink and grow back"
+}
 
 if [ "$MODE" = burst ] || [ "$MODE" = all ]; then
   # Seed sweep over the correlated burst + repair scenario: each seed must
   # recover, rerun byte-identically, and show the budget shrinking on the
   # domain event and growing back after the repair.
-  for S in 7 21 42; do
-    run "burst.$S.1" "$S" --burst
-    run "burst.$S.2" "$S" --burst
-    grep -q '^RESILIENCE: OK$' "$WORKDIR/resil.burst.$S.1.out" ||
-      fail "burst seed $S did not recover (no RESILIENCE: OK)"
-    assert_identical "burst.$S.1" "burst.$S.2"
-    # Non-zero budget transitions in both directions (shrink then grow).
-    grep -Eq '^   budget: .* \([1-9][0-9]* shrink\(s\), [1-9][0-9]* grow\(s\)\)$' \
-      "$WORKDIR/resil.burst.$S.1.out" ||
-      fail "burst seed $S: budget did not both shrink and grow back"
-  done
+  sweep burst 'RESILIENCE: OK' burst_seed --burst
 
   BTRACE="$WORKDIR/resil.burst.42.1.trace.json"
-  [ -s "$BTRACE" ] || fail "burst trace file missing or empty: $BTRACE"
+  need_file "$BTRACE" "burst trace file"
   # The burst/repair story, in trace landmarks: the domain takes its
   # cores, the watchdog detects the drop, repair returns them, and the
   # watchdog grows the budget back.
-  grep -q '"fault_domain"' "$BTRACE" || fail "no domain-burst instant in trace"
-  grep -q '"fault_offline"' "$BTRACE" || fail "no core-offline instant in trace"
-  grep -q '"repair_online"' "$BTRACE" || fail "no repair instant in trace"
-  grep -q '"watchdog_grow"' "$BTRACE" || fail "no watchdog growth detection"
-  grep -q '"capacity_grow"' "$BTRACE" || fail "no capacity-grow instant in trace"
+  need "$BTRACE" '"fault_domain"' "no domain-burst instant in trace"
+  need "$BTRACE" '"fault_offline"' "no core-offline instant in trace"
+  need "$BTRACE" '"repair_online"' "no repair instant in trace"
+  need "$BTRACE" '"watchdog_grow"' "no watchdog growth detection"
+  need "$BTRACE" '"capacity_grow"' "no capacity-grow instant in trace"
   BMETRICS="$BTRACE.metrics.txt"
-  [ -s "$BMETRICS" ] || fail "burst metrics dump missing: $BMETRICS"
-  grep -q 'machine\.repairs' "$BMETRICS" || fail "no repair counter"
-  grep -q 'watchdog\.growths' "$BMETRICS" || fail "no growth counter"
+  need_file "$BMETRICS" "burst metrics dump"
+  need "$BMETRICS" 'machine\.repairs' "no repair counter"
+  need "$BMETRICS" 'watchdog\.growths' "no growth counter"
 fi
 
 if [ "$MODE" = wedge ] || [ "$MODE" = all ]; then
   run wedge.1 $SEED --wedge
   run wedge.2 $SEED --wedge
 
-  grep -q '^RESILIENCE: OK$' "$WORKDIR/resil.wedge.1.out" ||
-    fail "wedge run did not recover (no RESILIENCE: OK)"
+  WOUT="$WORKDIR/resil.wedge.1.out"
+  need "$WOUT" '^RESILIENCE: OK$' "wedge run did not recover (no RESILIENCE: OK)"
   assert_identical wedge.1 wedge.2
 
   # The surgical verdict in the stdout summary: at least one surgical
   # restart, zero whole-region aborts, and the rest of the region retired
   # work between the wedge and the repair.
-  grep -Eq '^   surgical: [1-9][0-9]* blame\(s\), [1-9][0-9]* restart\(s\), 0 fallback abort\(s\)' \
-    "$WORKDIR/resil.wedge.1.out" ||
-    fail "wedge run shows no surgical blame/restart (or a fallback abort)"
-  grep -Eq '^   runner: .* 0 abortive recovery\(s\)$' \
-    "$WORKDIR/resil.wedge.1.out" ||
-    fail "wedge run took a whole-region abortive recovery"
-  grep -q 'healthy tasks kept retiring' "$WORKDIR/resil.wedge.1.out" ||
-    fail "wedge run did not report progress during the repair"
+  need "$WOUT" '^   surgical: [1-9][0-9]* blame\(s\), [1-9][0-9]* restart\(s\), 0 fallback abort\(s\)' \
+    "wedge run shows no surgical blame/restart (or a fallback abort)"
+  need "$WOUT" '^   runner: .* 0 abortive recovery\(s\)$' \
+    "wedge run took a whole-region abortive recovery"
+  need "$WOUT" 'healthy tasks kept retiring' \
+    "wedge run did not report progress during the repair"
 
   WTRACE="$WORKDIR/resil.wedge.1.trace.json"
-  [ -s "$WTRACE" ] || fail "wedge trace file missing or empty: $WTRACE"
+  need_file "$WTRACE" "wedge trace file"
   # The surgical story, in trace landmarks: the wedge fires, the blame
   # scan convicts the task, and only that task is restarted.
-  grep -q '"fault_wedge"' "$WTRACE" || fail "no wedge instant in trace"
-  grep -q '"watchdog_blame"' "$WTRACE" || fail "no blame verdict in trace"
-  grep -q '"surgical_restart"' "$WTRACE" ||
-    fail "no surgical-restart instant in trace"
-  grep -q '"task_restart"' "$WTRACE" || fail "no task-restart instant in trace"
+  need "$WTRACE" '"fault_wedge"' "no wedge instant in trace"
+  need "$WTRACE" '"watchdog_blame"' "no blame verdict in trace"
+  need "$WTRACE" '"surgical_restart"' "no surgical-restart instant in trace"
+  need "$WTRACE" '"task_restart"' "no task-restart instant in trace"
   WMETRICS="$WTRACE.metrics.txt"
-  [ -s "$WMETRICS" ] || fail "wedge metrics dump missing: $WMETRICS"
-  grep -q 'machine\.faults\.wedges' "$WMETRICS" || fail "no wedge counter"
-  grep -q 'watchdog\.blames' "$WMETRICS" || fail "no blame counter"
-  grep -q 'watchdog\.surgical_restarts' "$WMETRICS" ||
-    fail "no surgical-restart counter"
-  grep -q 'watchdog\.surgical_mttr_us' "$WMETRICS" ||
-    fail "no surgical MTTR histogram"
+  need_file "$WMETRICS" "wedge metrics dump"
+  need "$WMETRICS" 'machine\.faults\.wedges' "no wedge counter"
+  need "$WMETRICS" 'watchdog\.blames' "no blame counter"
+  need "$WMETRICS" 'watchdog\.surgical_restarts' "no surgical-restart counter"
+  need "$WMETRICS" 'watchdog\.surgical_mttr_us' "no surgical MTTR histogram"
 fi
+
+# The A/B verdict itself: a real (>= 1.15x, gated by the bench) makespan
+# improvement from avoidance + speculation.
+straggler_seed() {
+  need "$2" '^   improvement: [0-9]+\.[0-9]+x makespan' \
+    "straggler seed $1: no makespan improvement line"
+}
 
 if [ "$MODE" = straggler ] || [ "$MODE" = all ]; then
   # Seed sweep over the slow-core A/B: each seed must clear the makespan
   # gate with the ordered tail intact and rerun byte-identically.
-  for S in 7 21 42; do
-    run "strag.$S.1" "$S" --straggler
-    run "strag.$S.2" "$S" --straggler
-    grep -q '^RESILIENCE: OK$' "$WORKDIR/resil.strag.$S.1.out" ||
-      fail "straggler seed $S failed its gates (no RESILIENCE: OK)"
-    assert_identical "strag.$S.1" "strag.$S.2"
-    # The A/B verdict itself: a real (>= 1.15x, gated by the bench)
-    # makespan improvement from avoidance + speculation.
-    grep -Eq '^   improvement: [0-9]+\.[0-9]+x makespan' \
-      "$WORKDIR/resil.strag.$S.1.out" ||
-      fail "straggler seed $S: no makespan improvement line"
-  done
+  sweep strag 'RESILIENCE: OK' straggler_seed --straggler
 
   STRACE="$WORKDIR/resil.strag.42.1.trace.json"
-  [ -s "$STRACE" ] || fail "straggler trace file missing or empty: $STRACE"
+  need_file "$STRACE" "straggler trace file"
   # The avoidance story, in trace landmarks: dilation windows open, the
   # rate sensor penalizes the slow cores, and the watchdog clones chunks
   # that stall the commit frontier.
-  grep -q '"fault_straggler"' "$STRACE" ||
-    fail "no straggler-window instant in trace"
-  grep -q '"core_penalized"' "$STRACE" ||
-    fail "no core-penalized instant in trace"
-  grep -q '"watchdog_speculate"' "$STRACE" ||
-    fail "no speculative re-issue instant in trace"
+  need "$STRACE" '"fault_straggler"' "no straggler-window instant in trace"
+  need "$STRACE" '"core_penalized"' "no core-penalized instant in trace"
+  need "$STRACE" '"watchdog_speculate"' \
+    "no speculative re-issue instant in trace"
   SMETRICS="$STRACE.metrics.txt"
-  [ -s "$SMETRICS" ] || fail "straggler metrics dump missing: $SMETRICS"
-  grep -q 'machine\.cores_penalized' "$SMETRICS" ||
-    fail "no penalized-core counter"
-  grep -q 'watchdog\.speculations' "$SMETRICS" || fail "no speculation counter"
+  need_file "$SMETRICS" "straggler metrics dump"
+  need "$SMETRICS" 'machine\.cores_penalized' "no penalized-core counter"
+  need "$SMETRICS" 'watchdog\.speculations' "no speculation counter"
 fi
 
 echo "check_resilience.sh: OK ($MODE, $WORKDIR)"

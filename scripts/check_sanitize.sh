@@ -56,7 +56,7 @@ if ! build; then
 fi
 
 "$BUILDDIR/tests/parcae_tests" \
-  --gtest_filter='Checkpoint*:FaultInjection*:ServeLoop*:ChunkPolicy*:QueueWorkSource*' \
+  --gtest_filter='Checkpoint*:FaultInjection*:ServeLoop*:ChunkPolicy*:QueueWorkSource*:Telemetry*:Metrics*' \
   --gtest_brief=1 ||
   fail "unit suites reported a failure (or a sanitizer fired)"
 

@@ -33,93 +33,64 @@ set -euo pipefail
 BENCH=${1:?usage: check_serve.sh <bench_serve> [workdir] [legacy|batch]}
 WORKDIR=${2:-$(mktemp -d)}
 MODE=${3:-legacy}
-mkdir -p "$WORKDIR"
+NAME=check_serve.sh
+PREFIX=serve
+. "$(dirname "$0")/lib.sh"
 
-fail() {
-  echo "check_serve.sh: FAIL: $1" >&2
-  exit 1
-}
-
-# run <tag> <seed>
-run() {
-  TAG=$1
-  RUNSEED=$2
-  EXTRA=()
-  [ "$MODE" = batch ] && EXTRA=(--batch)
-  "$BENCH" --seed "$RUNSEED" "${EXTRA[@]}" \
-    --trace "$WORKDIR/serve.$TAG.trace.json" \
-    >"$WORKDIR/serve.$TAG.out" 2>&1 ||
-    fail "run $TAG exited non-zero (see $WORKDIR/serve.$TAG.out)"
-}
-
-# Same seed, same virtual-time world: everything must be byte-identical.
-# (The [telemetry] banner embeds the per-run trace path, so drop it.)
-assert_identical() {
-  grep -v '^\[telemetry\]' "$WORKDIR/serve.$1.out" >"$WORKDIR/serve.$1.flt"
-  grep -v '^\[telemetry\]' "$WORKDIR/serve.$2.out" >"$WORKDIR/serve.$2.flt"
-  cmp -s "$WORKDIR/serve.$1.flt" "$WORKDIR/serve.$2.flt" ||
-    fail "stdout differs between identically seeded runs ($1 vs $2)"
-  cmp -s "$WORKDIR/serve.$1.trace.json" "$WORKDIR/serve.$2.trace.json" ||
-    fail "trace differs between identically seeded runs ($1 vs $2)"
-}
-
-for S in 7 21 42; do
-  run "$S.1" "$S"
-  run "$S.2" "$S"
-
-  OUT="$WORKDIR/serve.$S.1.out"
-  grep -q '^SERVE: OK$' "$OUT" ||
-    fail "seed $S: bench verdict failed (no SERVE: OK)"
-  assert_identical "$S.1" "$S.2"
-
+serve_seed() {
+  local S=$1 OUT=$2
   if [ "$MODE" = batch ]; then
-    grep -q '^BATCH: OK$' "$OUT" ||
-      fail "seed $S: batch verdict failed (no BATCH: OK)"
+    need "$OUT" '^BATCH: OK$' "seed $S: batch verdict failed (no BATCH: OK)"
     # The goodput landmark: the bench prints the A/B speedup and its own
     # verdict gates it at 1.3x; assert the landmark line is present (and
     # not 0.xx) so a silent report regression cannot pass.
-    grep -Eq 'batch goodput speedup: [1-9][0-9]*\.[0-9]+x' "$OUT" ||
-      fail "seed $S: no batch goodput speedup landmark"
+    need "$OUT" 'batch goodput speedup: [1-9][0-9]*\.[0-9]+x' \
+      "seed $S: no batch goodput speedup landmark"
     # Spin-up amortization: more than one request per region on average.
-    grep -Eq 'api   regions: [0-9]+ -> [0-9]+ \([2-9]' "$OUT" ||
-      fail "seed $S: api batches did not amortize regions"
+    need "$OUT" 'api   regions: [0-9]+ -> [0-9]+ \([2-9]' \
+      "seed $S: api batches did not amortize regions"
   fi
 
   # Zero SLO violations in the under-load phase, for both classes (the
   # viol column is the last field of each table row).
   for CLS in api batch; do
-    grep -Eq "^ ${CLS}[[:space:]]+\| under[[:space:]]+\|.*\|[[:space:]]+0\$" \
-      "$OUT" || fail "seed $S: $CLS under-load row shows SLO violations"
+    need "$OUT" "^ ${CLS}[[:space:]]+\| under[[:space:]]+\|.*\|[[:space:]]+0\$" \
+      "seed $S: $CLS under-load row shows SLO violations"
   done
   # The overload phase sheds rather than queueing without bound: a
-  # non-zero shed count in the api overload row (4th numeric column).
-  grep -E '^ api[[:space:]]+\| overload' "$OUT" |
-    awk -F'|' '{ split($3, F, " "); exit F[4] > 0 ? 0 : 1 }' ||
-    fail "seed $S: api overload row shed nothing"
+  # non-zero shed count in the api overload row (field 8: class, |,
+  # phase, |, arrived, admit, rej, shed).
+  local SHED
+  SHED=$(field "$OUT" '^ api[[:space:]]+[|] overload' 8)
+  [ "${SHED:-0}" -gt 0 ] || fail "seed $S: api overload row shed nothing"
   # Budget moved toward the violating class under overload.
-  grep -Eq 'slo timeline: [1-9][0-9]* transfer\(s\), [1-9][0-9]* toward api' \
-    "$OUT" || fail "seed $S: no SLO transfer toward the api class"
-done
+  need "$OUT" 'slo timeline: [1-9][0-9]* transfer\(s\), [1-9][0-9]* toward api' \
+    "seed $S: no SLO transfer toward the api class"
+}
+
+EXTRA=()
+[ "$MODE" = batch ] && EXTRA=(--batch)
+sweep "" 'SERVE: OK' serve_seed "${EXTRA[@]}"
 
 TRACE="$WORKDIR/serve.42.1.trace.json"
-[ -s "$TRACE" ] || fail "trace file missing or empty: $TRACE"
+need_file "$TRACE" "trace file"
 
 # The arbitration story, in trace landmarks: the daemon repartitions as
 # tenants register and rebalance, and the SLO pass records its moves.
-grep -q '"repartition"' "$TRACE" || fail "no repartition instant in trace"
-grep -q '"slo_transfer"' "$TRACE" || fail "no slo_transfer instant in trace"
+need "$TRACE" '"repartition"' "no repartition instant in trace"
+need "$TRACE" '"slo_transfer"' "no slo_transfer instant in trace"
 
 # Batch mode: coalescing leaves batch_close instants in the trace.
 if [ "$MODE" = batch ]; then
-  grep -q '"batch_close"' "$TRACE" || fail "no batch_close instant in trace"
+  need "$TRACE" '"batch_close"' "no batch_close instant in trace"
 fi
 
 # Admission + arbitration metrics land in the metrics dump.
 METRICS="$TRACE.metrics.txt"
-[ -s "$METRICS" ] || fail "metrics dump missing: $METRICS"
-grep -q 'serve\.admitted' "$METRICS" || fail "no admitted counter"
-grep -q 'serve\.rejected' "$METRICS" || fail "no rejected counter"
-grep -q 'serve\.shed' "$METRICS" || fail "no shed counter"
-grep -q 'platform\.slo_transfers' "$METRICS" || fail "no transfer counter"
+need_file "$METRICS" "metrics dump"
+need "$METRICS" 'serve\.admitted' "no admitted counter"
+need "$METRICS" 'serve\.rejected' "no rejected counter"
+need "$METRICS" 'serve\.shed' "no shed counter"
+need "$METRICS" 'platform\.slo_transfers' "no transfer counter"
 
 echo "check_serve.sh: OK ($WORKDIR)"

@@ -176,10 +176,6 @@ public:
   rt::Watchdog *watchdog() { return Dog.get(); }
 
   // --- Fault counters (Decima-facing) ----------------------------------
-  /// Transient fault attempts observed across the launched region.
-  std::uint64_t faultsObserved() const {
-    return Runner ? Runner->totalFaults() : 0;
-  }
   /// Abortive recoveries the region went through.
   unsigned recoveries() const { return Runner ? Runner->recoveries() : 0; }
 

@@ -26,14 +26,17 @@ WorkSource::Pull WorkSource::tryPullChunk(std::uint64_t Max,
   return Pull::Got;
 }
 
+QueueWorkSource::QueueWorkSource(std::size_t Capacity) : Capacity(Capacity) {
+  if (telemetry::TraceRecorder *Tel = telemetry::recorder()) {
+    Counters.bind(Tel->metrics());
+    Counters.add("work_source.history_evictions", HistoryEvictions);
+  }
+}
+
 void QueueWorkSource::evictHistory() {
   while (History.size() > HistoryCap) {
     History.pop_front();
     ++HistoryEvictions;
-#if PARCAE_TELEMETRY_ENABLED
-    if (telemetry::TraceRecorder *Tel = telemetry::recorder())
-      Tel->metrics().counter("work_source.history_evictions").add();
-#endif
   }
 }
 

@@ -96,8 +96,7 @@ public:
 /// pushes items; closing the queue ends the region once drained.
 class QueueWorkSource : public WorkSource {
 public:
-  explicit QueueWorkSource(std::size_t Capacity = 1u << 20)
-      : Capacity(Capacity) {}
+  explicit QueueWorkSource(std::size_t Capacity = 1u << 20);
 
   Pull tryPull(Token &Out) override;
   Pull tryPullChunk(std::uint64_t Max, std::vector<Token> &Out) override;
@@ -143,6 +142,7 @@ private:
   /// rewind deeper than the history fails (recovery drains instead).
   std::deque<Token> History;
   static constexpr std::size_t HistoryCap = 4096;
+  telemetry::CounterExport Counters; ///< declared last: destroyed first
 };
 
 /// A fixed number of iterations: the batch-loop source used by

@@ -170,14 +170,12 @@ public:
                  std::vector<std::string> Features,
                  sim::SimTime Period = 100 * sim::USec)
       : Sim(Sim), D(D), Features(std::move(Features)), Period(Period) {
-#if PARCAE_TELEMETRY_ENABLED
     Tel = telemetry::recorder();
     if (Tel) {
       Tel->bindClock(Sim);
       TelPid = Tel->processFor("decima");
       Tel->nameThread(TelPid, 0, "features");
     }
-#endif
   }
 
   /// Takes the first sample now and re-arms every period until stop().

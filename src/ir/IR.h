@@ -82,12 +82,7 @@ public:
   std::string Name;
 
   bool isPhi() const { return Op == Opcode::Phi; }
-  bool isMemory() const {
-    return Op == Opcode::Load || Op == Opcode::Store;
-  }
   bool isBranch() const { return isTerminator(Op); }
-  bool writesMemory() const { return Op == Opcode::Store; }
-  bool readsMemory() const { return Op == Opcode::Load; }
 };
 
 /// A basic block: instructions plus CFG edges.
@@ -142,7 +137,6 @@ public:
                     std::string InstName = "");
 
   /// Number of SSA values created so far.
-  ValueId numValues() const { return NextValue; }
   unsigned numInsts() const { return NextInst; }
 
   std::vector<std::unique_ptr<BasicBlock>> &blocks() { return Blocks; }

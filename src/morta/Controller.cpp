@@ -26,7 +26,6 @@ const char *parcae::rt::ctrlStateName(CtrlState S) {
 RegionController::RegionController(RegionRunner &Runner, ControllerParams P)
     : Runner(Runner), P(P), Sim(Runner.machine().sim()),
       OnlineCap(Runner.machine().onlineCores()) {
-#if PARCAE_TELEMETRY_ENABLED
   Tel = telemetry::recorder();
   if (Tel) {
     TelPid = Tel->processFor(Runner.region().name());
@@ -34,7 +33,6 @@ RegionController::RegionController(RegionRunner &Runner, ControllerParams P)
     ThrMetric = &Tel->metrics().histogram("ctrl." + Runner.region().name() +
                                           ".throughput");
   }
-#endif
 }
 
 void RegionController::transitionTo(CtrlState NewSt) {
@@ -182,13 +180,12 @@ void RegionController::tick() {
       }
       case CtrlState::Calibrate:
         recordTrace(Thr);
-        PARCAE_TRACE(
-            Tel, instant(TelPid, telemetry::TidController, "ctrl",
-                         "calibrated",
-                         {telemetry::TraceArg::str("config",
-                                                   Runner.config().str()),
-                          telemetry::TraceArg::num("thr", Thr),
-                          telemetry::TraceArg::num("thr_seq", Tseq)}));
+        if (Tel)
+          Tel->instant(TelPid, telemetry::TidController, "ctrl", "calibrated",
+                       {telemetry::TraceArg::str("config",
+                                                 Runner.config().str()),
+                        telemetry::TraceArg::num("thr", Thr),
+                        telemetry::TraceArg::num("thr_seq", Tseq)});
         enterOptimize(Thr);
         break;
       case CtrlState::Optimize:
@@ -201,13 +198,13 @@ void RegionController::tick() {
         } else {
           double Rel = std::abs(Thr - MonitorBaseThr) / MonitorBaseThr;
           if (Rel > P.MonitorThreshold) {
-            PARCAE_TRACE(
-                Tel, instant(TelPid, telemetry::TidController, "ctrl",
-                             "monitor_drift",
-                             {telemetry::TraceArg::num("thr_base",
-                                                       MonitorBaseThr),
-                              telemetry::TraceArg::num("thr", Thr),
-                              telemetry::TraceArg::num("rel", Rel)}));
+            if (Tel)
+              Tel->instant(TelPid, telemetry::TidController, "ctrl",
+                           "monitor_drift",
+                           {telemetry::TraceArg::num("thr_base",
+                                                     MonitorBaseThr),
+                            telemetry::TraceArg::num("thr", Thr),
+                            telemetry::TraceArg::num("rel", Rel)});
             // Workload changed (T4->2): re-calibrate the current scheme,
             // resetting the DoP if throughput dropped.
             Scheme S = Runner.config().S;
@@ -312,13 +309,13 @@ void RegionController::stepOptimize(double Thr) {
   // measured before (at the previous DoP) and after (at the current one).
   double ThrBefore = Opt.PrevThr;
   auto dopMove = [&](const char *Kind, unsigned From, unsigned To) {
-    PARCAE_TRACE(
-        Tel, instant(TelPid, telemetry::TidController, "ctrl", Kind,
-                     {telemetry::TraceArg::num("task", Opt.TaskIdx),
-                      telemetry::TraceArg::num("dop_from", From),
-                      telemetry::TraceArg::num("dop_to", To),
-                      telemetry::TraceArg::num("thr_before", ThrBefore),
-                      telemetry::TraceArg::num("thr_after", Thr)}));
+    if (Tel)
+      Tel->instant(TelPid, telemetry::TidController, "ctrl", Kind,
+                   {telemetry::TraceArg::num("task", Opt.TaskIdx),
+                    telemetry::TraceArg::num("dop_from", From),
+                    telemetry::TraceArg::num("dop_to", To),
+                    telemetry::TraceArg::num("thr_before", ThrBefore),
+                    telemetry::TraceArg::num("thr_after", Thr)});
   };
   // Relative finite difference; tiny changes count as zero.
   double Delta = Opt.PrevThr > 0 ? (Thr - Opt.PrevThr) / Opt.PrevThr
@@ -436,13 +433,13 @@ void RegionController::finishSchemeSearch(double Thr) {
     return;
   // All schemes explored: enforce the best configuration and monitor.
   Cache.push_back({Budget, Best.C, Best.Thr, BudgetLimited});
-  PARCAE_TRACE(
-      Tel, instant(TelPid, telemetry::TidController, "ctrl", "enforce",
-                   {telemetry::TraceArg::str("config", Best.C.str()),
-                    telemetry::TraceArg::num("thr", Best.Thr),
-                    telemetry::TraceArg::num("thr_seq", Tseq),
-                    telemetry::TraceArg::num("budget_limited",
-                                             BudgetLimited ? 1 : 0)}));
+  if (Tel)
+    Tel->instant(TelPid, telemetry::TidController, "ctrl", "enforce",
+                 {telemetry::TraceArg::str("config", Best.C.str()),
+                  telemetry::TraceArg::num("thr", Best.Thr),
+                  telemetry::TraceArg::num("thr_seq", Tseq),
+                  telemetry::TraceArg::num("budget_limited",
+                                           BudgetLimited ? 1 : 0)});
   applyConfig(Best.C);
   enterMonitor();
   if (OnOptimized)
@@ -527,21 +524,20 @@ void RegionController::onCapacityChange(unsigned Online) {
     return;
   if (N == Budget)
     return; // the effective budget already matches the capacity
-  PARCAE_TRACE(Tel,
-               instant(TelPid, telemetry::TidController, "ctrl",
-                       N < Budget ? "capacity_drop" : "capacity_grow",
-                       {telemetry::TraceArg::num("online", Online),
-                        telemetry::TraceArg::num("budget", Budget)}));
+  if (Tel)
+    Tel->instant(TelPid, telemetry::TidController, "ctrl",
+                 N < Budget ? "capacity_drop" : "capacity_grow",
+                 {telemetry::TraceArg::num("online", Online),
+                  telemetry::TraceArg::num("budget", Budget)});
   applyBudget(N);
 }
 
 void RegionController::forceRecover(RegionConfig C) {
   if (!Started || St == CtrlState::Done || Runner.completed())
     return;
-  PARCAE_TRACE(Tel,
-               instant(TelPid, telemetry::TidController, "ctrl",
-                       "force_recover",
-                       {telemetry::TraceArg::str("config", C.str())}));
+  if (Tel)
+    Tel->instant(TelPid, telemetry::TidController, "ctrl", "force_recover",
+                 {telemetry::TraceArg::str("config", C.str())});
   recordTrace(0);
   Runner.recover(std::move(C));
   // Whatever measurement was in flight is meaningless across an abort;
@@ -559,11 +555,11 @@ RegionExec::RestartResult RegionController::surgicalRestart(unsigned TaskIdx) {
   RegionExec::RestartResult R = Runner.restartTask(TaskIdx);
   if (R.Restarted == 0 && R.Rescued == 0)
     return R;
-  PARCAE_TRACE(Tel, instant(TelPid, telemetry::TidController, "ctrl",
-                            "surgical_restart",
-                            {telemetry::TraceArg::num("task", TaskIdx),
-                             telemetry::TraceArg::num("restarted", R.Restarted),
-                             telemetry::TraceArg::num("rescued", R.Rescued)}));
+  if (Tel)
+    Tel->instant(TelPid, telemetry::TidController, "ctrl", "surgical_restart",
+                 {telemetry::TraceArg::num("task", TaskIdx),
+                  telemetry::TraceArg::num("restarted", R.Restarted),
+                  telemetry::TraceArg::num("rescued", R.Rescued)});
   // Re-anchor, do not re-select: the stalled window would dominate any
   // in-flight measurement, but the configuration itself is not suspect.
   if (St == CtrlState::Monitor) {
@@ -640,12 +636,10 @@ bool RegionController::checkpointTo(std::function<void(ckpt::RegionSnapshot)> Cb
         S.Config = CP->Config;
         Runner.source().saveState(S.Source);
         S.Ctrl = exportMemory();
-        PARCAE_TRACE(
-            Tel, instant(TelPid, telemetry::TidController, "ctrl",
-                         "checkpoint",
-                         {telemetry::TraceArg::num("cursor", CP->Cursor),
-                          telemetry::TraceArg::str("config",
-                                                   CP->Config.str())}));
+        if (Tel)
+          Tel->instant(TelPid, telemetry::TidController, "ctrl", "checkpoint",
+                       {telemetry::TraceArg::num("cursor", CP->Cursor),
+                        telemetry::TraceArg::str("config", CP->Config.str())});
         // The region now lives in the snapshot; this controller is done
         // and its machine may be torn down.
         recordTrace(0);
@@ -669,11 +663,11 @@ void RegionController::startFromSnapshot(unsigned ThreadBudget,
   (void)Runner.source().restoreState(S.Source);
   Runner.chunkPolicy().seed(S.ChunkK);
   RegionConfig C = resumeConfigFor(S.Config);
-  PARCAE_TRACE(Tel,
-               instant(TelPid, telemetry::TidController, "ctrl", "restore",
-                       {telemetry::TraceArg::num("cursor", S.Cursor),
-                        telemetry::TraceArg::str("config", C.str()),
-                        telemetry::TraceArg::num("budget", Budget)}));
+  if (Tel)
+    Tel->instant(TelPid, telemetry::TidController, "ctrl", "restore",
+                 {telemetry::TraceArg::num("cursor", S.Cursor),
+                  telemetry::TraceArg::str("config", C.str()),
+                  telemetry::TraceArg::num("budget", Budget)});
   Runner.start(C, S.Cursor);
   // The snapshot carries the learned memory; skip INIT/CALIBRATE/OPTIMIZE
   // and settle straight into passive monitoring.
@@ -688,9 +682,9 @@ bool RegionController::drainRestart(std::vector<unsigned> Cores,
   Measuring = false;
   MarkPending = false;
   WarmupAnchor = NoSeq;
-  PARCAE_TRACE(Tel, instant(TelPid, telemetry::TidController, "ctrl",
-                            "drain_restart",
-                            {telemetry::TraceArg::num("cores", Cores.size())}));
+  if (Tel)
+    Tel->instant(TelPid, telemetry::TidController, "ctrl", "drain_restart",
+                 {telemetry::TraceArg::num("cores", Cores.size())});
   return Runner.requestCheckpoint(
       [this, Cores = std::move(Cores),
        Done = std::move(Done)](const RunnerCheckpoint *CP) {
@@ -709,11 +703,11 @@ bool RegionController::drainRestart(std::vector<unsigned> Cores,
         Budget = std::max(1u, std::min(Granted, OnlineCap));
         Runner.chunkPolicy().seed(CP->ChunkK);
         RegionConfig C = resumeConfigFor(CP->Config);
-        PARCAE_TRACE(
-            Tel, instant(TelPid, telemetry::TidController, "ctrl", "migrate",
-                         {telemetry::TraceArg::num("cursor", CP->Cursor),
-                          telemetry::TraceArg::str("config", C.str()),
-                          telemetry::TraceArg::num("budget", Budget)}));
+        if (Tel)
+          Tel->instant(TelPid, telemetry::TidController, "ctrl", "migrate",
+                       {telemetry::TraceArg::num("cursor", CP->Cursor),
+                        telemetry::TraceArg::str("config", C.str()),
+                        telemetry::TraceArg::num("budget", Budget)});
         recordTrace(0);
         Runner.resume(std::move(C), CP->Cursor);
         enterMonitor();
@@ -738,10 +732,10 @@ void RegionController::applyBudget(unsigned N) {
   }
   unsigned Old = Budget;
   Budget = N;
-  PARCAE_TRACE(Tel,
-               instant(TelPid, telemetry::TidController, "ctrl", "budget",
-                       {telemetry::TraceArg::num("from", Old),
-                        telemetry::TraceArg::num("to", N)}));
+  if (Tel)
+    Tel->instant(TelPid, telemetry::TidController, "ctrl", "budget",
+                 {telemetry::TraceArg::num("from", Old),
+                  telemetry::TraceArg::num("to", N)});
   if (St == CtrlState::Init)
     return; // the baseline phase proceeds; the new budget applies after it
   recordTrace(0);

@@ -50,18 +50,21 @@ private:
 PlatformDaemon::PlatformDaemon(unsigned TotalThreads, SloParams SP)
     : TotalThreads(TotalThreads), SP(SP) {
   assert(TotalThreads >= 1 && "platform needs at least one thread");
-#if PARCAE_TELEMETRY_ENABLED
   Tel = telemetry::recorder();
   if (Tel) {
     TelPid = Tel->processFor("platform");
     Tel->nameThread(TelPid, 0, "daemon");
+    Counters.bind(Tel->metrics());
+    Counters.add("platform.repartitions", Repartitions);
+    Counters.add("platform.slo_transfers",
+                 [this] { return Transfers.size(); });
   }
-#endif
 }
 
 PlatformDaemon::~PlatformDaemon() = default;
 
-void PlatformDaemon::traceBudgets(const char *Why) {
+void PlatformDaemon::noteRepartition(const char *Why) {
+  ++Repartitions;
   if (!Tel)
     return;
   std::vector<telemetry::TraceArg> Args;
@@ -79,13 +82,12 @@ void PlatformDaemon::traceBudgets(const char *Why) {
   }
   Args.push_back(telemetry::TraceArg::num("committed", Committed));
   Tel->instant(TelPid, 0, "platform", "repartition", std::move(Args));
-  Tel->metrics().counter("platform.repartitions").add();
 }
 
 void PlatformDaemon::registerEntry(Entry E, PlatformTenant &Newcomer) {
   Programs.push_back(E);
   partition();
-  traceBudgets("add_tenant");
+  noteRepartition("add_tenant");
   for (Entry &P : Programs)
     P.T->onBudget(P.Budget, P.T == &Newcomer);
 }
@@ -95,7 +97,7 @@ void PlatformDaemon::unregisterEntry(std::size_t Idx) {
   if (Programs.empty())
     return;
   partition();
-  traceBudgets("remove_tenant");
+  noteRepartition("remove_tenant");
   for (Entry &E : Programs)
     E.T->onBudget(E.Budget, false);
 }
@@ -229,7 +231,7 @@ void PlatformDaemon::rebalanceOnce() {
     Notify.push_back(&E);
   }
   if (!Notify.empty())
-    traceBudgets("rebalance");
+    noteRepartition("rebalance");
   for (Entry *E : Notify)
     E->T->onBudget(E->Budget, false);
 }
@@ -293,14 +295,12 @@ void PlatformDaemon::sloRebalanceOnce() {
     V.ShrunkToFit = false;
     Transfers.push_back(
         {Now, D.T->tenantName(), V.T->tenantName(), 1, Why});
-    if (Tel) {
+    if (Tel)
       Tel->instant(TelPid, 0, "platform", "slo_transfer",
                    {telemetry::TraceArg::str("from", D.T->tenantName()),
                     telemetry::TraceArg::str("to", V.T->tenantName()),
                     telemetry::TraceArg::str("why", Why),
                     telemetry::TraceArg::num("threads", 1)});
-      Tel->metrics().counter("platform.slo_transfers").add();
-    }
     if (std::find(Changed.begin(), Changed.end(), &D) == Changed.end())
       Changed.push_back(&D);
     if (std::find(Changed.begin(), Changed.end(), &V) == Changed.end())
@@ -356,7 +356,7 @@ void PlatformDaemon::sloRebalanceOnce() {
 
   if (Changed.empty())
     return;
-  traceBudgets("slo_transfer");
+  noteRepartition("slo_transfer");
   // Notifications may synchronously re-enter rebalance (config-cache
   // hits report immediately); coalesce exactly like rebalance() does.
   bool Reenter = !InRebalance;

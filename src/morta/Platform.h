@@ -119,9 +119,6 @@ public:
   void stopArbiter() { ArbiterOn = false; }
 
   unsigned totalThreads() const { return TotalThreads; }
-  unsigned numPrograms() const {
-    return static_cast<unsigned>(Programs.size());
-  }
 
   /// The current budget assigned to a registered program.
   unsigned budgetOf(const RegionController &C) const;
@@ -138,6 +135,8 @@ public:
   };
   /// Every SLO-driven transfer so far, in time order.
   const std::vector<SloTransfer> &sloTransfers() const { return Transfers; }
+  /// Budget repartitions so far (tenant churn, rebalance, SLO pass).
+  std::uint64_t repartitions() const { return Repartitions; }
 
 private:
   /// Adapts a RegionController to the tenant interface (Algorithm 5's
@@ -168,14 +167,15 @@ private:
   void arbiterTick(sim::Simulator &Sim, sim::SimTime Period);
   /// One SLO pass: hand-backs first, then meeting->violating transfers.
   void sloRebalanceOnce();
-  /// Telemetry: one repartition instant carrying every tenant's budget.
-  void traceBudgets(const char *Why);
+  /// Counts a repartition; traces an instant with every tenant's budget.
+  void noteRepartition(const char *Why);
 
   unsigned TotalThreads;
   SloParams SP;
   std::vector<Entry> Programs;
   std::vector<std::unique_ptr<ControllerTenant>> Adapters;
   std::vector<SloTransfer> Transfers;
+  std::uint64_t Repartitions = 0;
   bool InRebalance = false;
   bool RebalancePending = false;
   bool ArbiterOn = false;
@@ -186,6 +186,7 @@ private:
   // Telemetry (null when tracing is off).
   telemetry::TraceRecorder *Tel = nullptr;
   std::uint32_t TelPid = 0;
+  telemetry::CounterExport Counters; ///< declared last: destroyed first
 };
 
 } // namespace parcae::rt

@@ -55,16 +55,19 @@ RegionExec::RegionExec(sim::Machine &M, const RuntimeCosts &Costs,
   HasWorker.assign(Desc.numTasks(), std::vector<bool>(MaxWidth, false));
   LastBeat.assign(Desc.numTasks(), M.sim().now());
 
-#if PARCAE_TELEMETRY_ENABLED
   Tel = telemetry::recorder();
   if (Tel) {
     TelPid = Tel->processFor(Desc.Name);
     Tel->nameThread(TelPid, telemetry::TidExec, "exec");
     for (unsigned T = 0; T < Desc.numTasks(); ++T)
       Tel->nameThread(TelPid, 1 + T, "task " + Desc.Tasks[T].name());
-    RetiredMetric = &Tel->metrics().counter("exec." + Desc.Name + ".retired");
+    std::string Pre = "exec." + Desc.Name;
+    Counters.bind(Tel->metrics());
+    Counters.add(Pre + ".retired", IterationsRetired,
+                 telemetry::Listing::Always);
+    Counters.add(Pre + ".faults", FaultsInjected);
+    Counters.add(Pre + ".speculations", Speculations);
   }
-#endif
 }
 
 RegionExec::~RegionExec() = default;
@@ -72,9 +75,10 @@ RegionExec::~RegionExec() = default;
 void RegionExec::start() {
   assert(!Started && "region already started");
   Started = true;
-  PARCAE_TRACE(Tel, begin(TelPid, telemetry::TidExec, "exec", Config.str(),
-                          {telemetry::TraceArg::num(
-                              "start_seq", static_cast<double>(NextSeq))}));
+  if (Tel)
+    Tel->begin(TelPid, telemetry::TidExec, "exec", Config.str(),
+               {telemetry::TraceArg::num("start_seq",
+                                         static_cast<double>(NextSeq))});
   for (unsigned T = 0; T < Desc.numTasks(); ++T)
     for (unsigned S = 0; S < Config.DoP[T]; ++S)
       spawnWorker(T, S, NextSeq);
@@ -121,20 +125,18 @@ void RegionExec::noteFault(unsigned TaskIdx, std::uint64_t Seq,
                            unsigned Attempt) {
   ++FaultsInjected;
   beat(TaskIdx); // a faulting task is still live, just unlucky
-  if (Tel) {
-    Tel->metrics().counter("exec." + Desc.Name + ".faults").add();
+  if (Tel)
     Tel->instant(TelPid, 1 + TaskIdx, "fault", "task_fault",
                  {telemetry::TraceArg::num("seq", static_cast<double>(Seq)),
                   telemetry::TraceArg::num("attempt", Attempt)});
-  }
   if (Attempt > Costs.MaxFaultRetries) {
     ++Escalations;
     if (!EscalationFired) {
       EscalationFired = true;
-      PARCAE_TRACE(Tel, instant(TelPid, 1 + TaskIdx, "fault",
-                                "fault_escalation",
-                                {telemetry::TraceArg::num(
-                                    "seq", static_cast<double>(Seq))}));
+      if (Tel)
+        Tel->instant(TelPid, 1 + TaskIdx, "fault", "fault_escalation",
+                     {telemetry::TraceArg::num("seq",
+                                               static_cast<double>(Seq))});
       if (OnFaultEscalation)
         OnFaultEscalation(TaskIdx);
     }
@@ -146,14 +148,15 @@ void RegionExec::abort() {
   Aborted = true;
   if (Chunking)
     Chunking->degradeForPause(); // resume cautiously after recovery
-  PARCAE_TRACE(Tel, instant(TelPid, telemetry::TidExec, "exec", "abort",
-                            {telemetry::TraceArg::num(
-                                 "frontier",
-                                 static_cast<double>(CommitFrontier)),
-                             telemetry::TraceArg::num(
-                                 "next_seq", static_cast<double>(NextSeq))}));
-  PARCAE_TRACE(Tel, end(TelPid, telemetry::TidExec, "exec", Config.str(),
-                        {telemetry::TraceArg::str("exit", "aborted")}));
+  if (Tel) {
+    Tel->instant(
+        TelPid, telemetry::TidExec, "exec", "abort",
+        {telemetry::TraceArg::num("frontier",
+                                  static_cast<double>(CommitFrontier)),
+         telemetry::TraceArg::num("next_seq", static_cast<double>(NextSeq))});
+    Tel->end(TelPid, telemetry::TidExec, "exec", Config.str(),
+             {telemetry::TraceArg::str("exit", "aborted")});
+  }
   // Kill without onWorkerExit: no respawns, no quiescence callbacks. The
   // SimThreads outlive this exec (the Machine owns them), but terminated
   // threads never resume, so the dead Worker bodies are never re-entered.
@@ -303,12 +306,12 @@ RegionExec::RestartResult RegionExec::restartTask(unsigned TaskIdx) {
     // Refresh the task heartbeat: the replacement starts its silence
     // clock now, not at its predecessor's last sign of life.
     beat(TaskIdx);
-    PARCAE_TRACE(
-        Tel, instant(TelPid, telemetry::TidExec, "exec", "task_restart",
-                     {telemetry::TraceArg::str("task",
-                                               Desc.Tasks[TaskIdx].name()),
-                      telemetry::TraceArg::num("restarted", Res.Restarted),
-                      telemetry::TraceArg::num("rescued", Res.Rescued)}));
+    if (Tel)
+      Tel->instant(TelPid, telemetry::TidExec, "exec", "task_restart",
+                   {telemetry::TraceArg::str("task",
+                                             Desc.Tasks[TaskIdx].name()),
+                    telemetry::TraceArg::num("restarted", Res.Restarted),
+                    telemetry::TraceArg::num("rescued", Res.Rescued)});
   }
   return Res;
 }
@@ -370,13 +373,11 @@ RegionExec::speculateLaggard(sim::SimTime Now, sim::SimTime AgeThreshold) {
   ++Speculations;
   updateLowWater(TaskIdx);
   beat(TaskIdx);
-  if (Tel) {
-    Tel->metrics().counter("exec." + Desc.Name + ".speculations").add();
+  if (Tel)
     Tel->instant(TelPid, telemetry::TidExec, "exec", "speculate",
                  {telemetry::TraceArg::str("task", Desc.Tasks[TaskIdx].name()),
                   telemetry::TraceArg::num("seq", static_cast<double>(Seq)),
                   telemetry::TraceArg::num("core", CoreIdx)});
-  }
   Res.Issued = true;
   Res.TaskIdx = TaskIdx;
   Res.Seq = Seq;
@@ -392,9 +393,10 @@ void RegionExec::requestPause() {
   if (Chunking)
     Chunking->degradeForPause();
   PauseBound = NextSeq;
-  PARCAE_TRACE(Tel, instant(TelPid, telemetry::TidExec, "exec", "pause",
-                            {telemetry::TraceArg::num(
-                                "bound", static_cast<double>(PauseBound))}));
+  if (Tel)
+    Tel->instant(TelPid, telemetry::TidExec, "exec", "pause",
+                 {telemetry::TraceArg::num("bound",
+                                           static_cast<double>(PauseBound))});
   BoundEvent.notifyAll();
 }
 
@@ -428,12 +430,11 @@ void RegionExec::reconfigureInPlace(const std::vector<unsigned> &NewDoP) {
     // iterations (their next owned iteration becomes NoSeq).
   }
   Config.DoP = NewDoP;
-  PARCAE_TRACE(Tel,
-               instant(TelPid, telemetry::TidExec, "exec",
-                       "reconfigure_in_place",
-                       {telemetry::TraceArg::str("config", Config.str()),
-                        telemetry::TraceArg::num("handoff_seq",
-                                                 static_cast<double>(B))}));
+  if (Tel)
+    Tel->instant(TelPid, telemetry::TidExec, "exec", "reconfigure_in_place",
+                 {telemetry::TraceArg::str("config", Config.str()),
+                  telemetry::TraceArg::num("handoff_seq",
+                                           static_cast<double>(B))});
   // Wake workers blocked on iterations the new routing reassigned; they
   // re-derive their cursor from the updated schedule.
   BoundEvent.notifyAll();
@@ -467,13 +468,15 @@ void RegionExec::onWorkerExit(Worker *W, TaskStatus Status) {
   if (ActiveWorkers == 0) {
     if (EndBound != NoSeq && EndBound <= PauseBound) {
       Completed = true;
-      PARCAE_TRACE(Tel, end(TelPid, telemetry::TidExec, "exec", Config.str(),
-                            {telemetry::TraceArg::str("exit", "complete")}));
+      if (Tel)
+        Tel->end(TelPid, telemetry::TidExec, "exec", Config.str(),
+                 {telemetry::TraceArg::str("exit", "complete")});
       if (OnComplete)
         OnComplete();
     } else {
-      PARCAE_TRACE(Tel, end(TelPid, telemetry::TidExec, "exec", Config.str(),
-                            {telemetry::TraceArg::str("exit", "quiescent")}));
+      if (Tel)
+        Tel->end(TelPid, telemetry::TidExec, "exec", Config.str(),
+                 {telemetry::TraceArg::str("exit", "quiescent")});
       if (OnQuiescent)
         OnQuiescent();
     }
@@ -496,12 +499,9 @@ void RegionExec::updateLowWater(unsigned TaskIdx) {
 void RegionExec::retireIteration(unsigned TaskIdx) {
   (void)TaskIdx;
   ++IterationsRetired;
-  if (Tel) {
-    RetiredMetric->add();
-    if ((IterationsRetired & 63) == 0)
-      Tel->counter(TelPid, telemetry::TidExec, "exec", "retired",
-                   static_cast<double>(IterationsRetired));
-  }
+  if (Tel && (IterationsRetired & 63) == 0)
+    Tel->counter(TelPid, telemetry::TidExec, "exec", "retired",
+                 static_cast<double>(IterationsRetired));
   if (Chunking && (IterationsRetired % RetunePeriod) == 0 &&
       PauseBound == NoSeq)
     retuneChunking();
@@ -561,12 +561,11 @@ bool RegionExec::giveBackChunk(std::uint64_t Count) {
   if (PauseBound != NoSeq && PauseBound > NextSeq)
     PauseBound = NextSeq;
   BoundEvent.notifyAll();
-  PARCAE_TRACE(Tel, instant(TelPid, telemetry::TidExec, "exec",
-                            "chunk_give_back",
-                            {telemetry::TraceArg::num(
-                                 "count", static_cast<double>(Count)),
-                             telemetry::TraceArg::num(
-                                 "next_seq", static_cast<double>(NextSeq))}));
+  if (Tel)
+    Tel->instant(TelPid, telemetry::TidExec, "exec", "chunk_give_back",
+                 {telemetry::TraceArg::num("count", static_cast<double>(Count)),
+                  telemetry::TraceArg::num("next_seq",
+                                           static_cast<double>(NextSeq))});
   return true;
 }
 

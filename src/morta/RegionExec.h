@@ -203,7 +203,6 @@ public:
   std::function<void(unsigned TaskIdx)> OnFaultEscalation;
 
   const RegionConfig &config() const { return Config; }
-  const RegionDesc &desc() const { return Desc; }
 
   /// Fires when all workers have exited after a pause (drained state).
   std::function<void()> OnQuiescent;
@@ -344,7 +343,7 @@ private:
   // Telemetry (null when tracing is off).
   telemetry::TraceRecorder *Tel = nullptr;
   std::uint32_t TelPid = 0;
-  telemetry::Counter *RetiredMetric = nullptr;
+  telemetry::CounterExport Counters; ///< declared last: destroyed first
 };
 
 } // namespace parcae::rt

@@ -9,13 +9,21 @@ using namespace parcae::rt;
 RegionRunner::RegionRunner(sim::Machine &M, const RuntimeCosts &Costs,
                            const FlexibleRegion &Region, WorkSource &Source)
     : M(M), Costs(Costs), Region(Region), Source(Source) {
-#if PARCAE_TELEMETRY_ENABLED
   Tel = telemetry::recorder();
   if (Tel) {
     TelPid = Tel->processFor(Region.name());
     Tel->nameThread(TelPid, telemetry::TidRunner, "runner");
+    std::string Pre = "runner." + Region.name();
+    Counters.bind(Tel->metrics());
+    // The reconfigs row excludes recoveries; reconfigurations() does not.
+    Counters.add(Pre + ".reconfigs",
+                 [this] { return Reconfigurations - Recoveries; });
+    Counters.add(Pre + ".full_pauses", FullPauses);
+    Counters.add(Pre + ".recoveries", Recoveries);
+    Counters.add(Pre + ".task_restarts", TaskRestarts);
+    Counters.add(Pre + ".checkpoints", Checkpoints);
+    Counters.add("chunk.reseed", ChunkReseeds);
   }
-#endif
 }
 
 RegionRunner::~RegionRunner() = default;
@@ -28,12 +36,11 @@ void RegionRunner::start(RegionConfig Initial, std::uint64_t StartSeq) {
     // Restoring a checkpoint on a fresh runner: the cursor is also the
     // retire base, so totalRetired() continues from the migrated run.
     RetiredBase = StartSeq;
-    PARCAE_TRACE(Tel, instant(TelPid, telemetry::TidRunner, "runner",
-                              "restore",
-                              {telemetry::TraceArg::num(
-                                   "cursor", static_cast<double>(StartSeq)),
-                               telemetry::TraceArg::str("config",
-                                                        Initial.str())}));
+    if (Tel)
+      Tel->instant(TelPid, telemetry::TidRunner, "runner", "restore",
+                   {telemetry::TraceArg::num("cursor",
+                                             static_cast<double>(StartSeq)),
+                    telemetry::TraceArg::str("config", Initial.str())});
   }
   beginExec(std::move(Initial), StartSeq);
 }
@@ -52,8 +59,6 @@ void RegionRunner::beginExec(RegionConfig C, std::uint64_t StartSeq) {
     if (It != LearnedK.end()) {
       Chunking.seed(It->second);
       ++ChunkReseeds;
-      if (Tel)
-        Tel->metrics().counter("chunk.reseed").add();
     } else {
       Chunking.forgetLearned();
     }
@@ -104,8 +109,6 @@ bool RegionRunner::reconfigure(RegionConfig Target) {
     return false;
 
   ++Reconfigurations;
-  if (Tel)
-    Tel->metrics().counter("runner." + Region.name() + ".reconfigs").add();
   if (Target.S == Config.S && Exec && Exec->canReconfigureInPlace()) {
     Exec->reconfigureInPlace(Target.DoP);
     Config = std::move(Target);
@@ -117,7 +120,6 @@ bool RegionRunner::reconfigure(RegionConfig Target) {
   // Full path: pause, drain, then resume under the new configuration.
   ++FullPauses;
   if (Tel) {
-    Tel->metrics().counter("runner." + Region.name() + ".full_pauses").add();
     Tel->begin(TelPid, telemetry::TidRunner, "runner", "transition",
                {telemetry::TraceArg::str("from", Config.str()),
                 telemetry::TraceArg::str("to", Target.str())});
@@ -222,7 +224,6 @@ void RegionRunner::completeCheckpoint(std::uint64_t StartSeq) {
       Tel->end(TelPid, telemetry::TidRunner, "runner", TelOpenSpan);
       TelOpenSpan = nullptr;
     }
-    Tel->metrics().counter("runner." + Region.name() + ".checkpoints").add();
     Tel->metrics()
         .histogram("checkpoint.quiesce_latency_us")
         .add(sim::toSeconds(M.sim().now() - CheckpointAt) * 1e6);
@@ -273,13 +274,7 @@ RegionExec::RestartResult RegionRunner::restartTask(unsigned TaskIdx) {
   if (Completed || !Started || !Exec)
     return {};
   RegionExec::RestartResult R = Exec->restartTask(TaskIdx);
-  if (R.Restarted > 0) {
-    TaskRestarts += R.Restarted;
-    if (Tel)
-      Tel->metrics()
-          .counter("runner." + Region.name() + ".task_restarts")
-          .add(R.Restarted);
-  }
+  TaskRestarts += R.Restarted;
   return R;
 }
 
@@ -308,7 +303,6 @@ bool RegionRunner::recover(RegionConfig Target) {
   ++Recoveries;
   ++Reconfigurations;
   if (Tel) {
-    Tel->metrics().counter("runner." + Region.name() + ".recoveries").add();
     if (TelOpenSpan) {
       // A drain was in flight; the abort supersedes it.
       Tel->end(TelPid, telemetry::TidRunner, "runner", TelOpenSpan);

@@ -230,6 +230,7 @@ private:
   /// Name of the open runner-lane span ("transition" or "recover"),
   /// closed when the resume fires; null when none is open.
   const char *TelOpenSpan = nullptr;
+  telemetry::CounterExport Counters; ///< declared last: destroyed first
 };
 
 } // namespace parcae::rt

@@ -9,13 +9,22 @@ using namespace parcae::rt;
 
 Watchdog::Watchdog(RegionController &Ctrl, WatchdogParams P)
     : Ctrl(Ctrl), Runner(Ctrl.runner()), M(Runner.machine()), P(P) {
-#if PARCAE_TELEMETRY_ENABLED
   Tel = telemetry::recorder();
   if (Tel) {
     TelPid = Tel->processFor(Runner.region().name());
     Tel->nameThread(TelPid, telemetry::TidWatchdog, "watchdog");
+    Counters.bind(Tel->metrics());
+    Counters.add("watchdog.detections", Detections);
+    Counters.add("watchdog.growths", Growths);
+    Counters.add("watchdog.stalls", Stalls);
+    Counters.add("watchdog.escalations", EscalationsHandled);
+    Counters.add("watchdog.recoveries", RecoveriesCompleted);
+    Counters.add("watchdog.speculations", SpeculationsIssued);
+    Counters.add("watchdog.blames", BlamesAssigned);
+    Counters.add("watchdog.surgical_restarts", SurgicalRestarts);
+    Counters.add("watchdog.fallback_aborts", FallbackAborts);
+    Counters.add("watchdog.drains", DrainsStarted);
   }
-#endif
 }
 
 void Watchdog::start() {
@@ -27,9 +36,8 @@ void Watchdog::start() {
   Runner.OnFaultEscalation = [this](unsigned TaskIdx) {
     onEscalation(TaskIdx);
   };
-  if (P.DrainOnWarning)
-    M.addDomainWarningListener(
-        [this](const sim::FailureDomainEvent &D) { onDomainWarning(D); });
+  M.addDomainWarningListener(
+      [this](const sim::FailureDomainEvent &D) { onDomainWarning(D); });
   M.sim().schedule(P.Period, [this] { tick(); });
 }
 
@@ -39,14 +47,12 @@ void Watchdog::onDomainWarning(const sim::FailureDomainEvent &D) {
   ++DrainsStarted;
   DrainActive = true;
   DrainWarnedAt = M.sim().now();
-  if (Tel) {
-    Tel->metrics().counter("watchdog.drains").add();
+  if (Tel)
     Tel->instant(TelPid, telemetry::TidWatchdog, "watchdog", "watchdog_drain",
                  {telemetry::TraceArg::str("domain", D.Name),
                   telemetry::TraceArg::num("cores", D.Cores.size()),
                   telemetry::TraceArg::num("lead_us",
                                            sim::toSeconds(D.Warning) * 1e6)});
-  }
   bool Accepted = Ctrl.drainRestart(D.Cores, [this] {
     DrainActive = false;
     ++DrainsCompleted;
@@ -83,15 +89,13 @@ void Watchdog::beginRecoveryClock(sim::SimTime FaultAt, bool Surgical) {
 
 void Watchdog::onEscalation(unsigned TaskIdx) {
   ++EscalationsHandled;
-  if (Tel) {
-    Tel->metrics().counter("watchdog.escalations").add();
+  if (Tel)
     Tel->instant(TelPid, telemetry::TidWatchdog, "watchdog",
                  "watchdog_escalation",
                  {telemetry::TraceArg::num("task", TaskIdx)});
-  }
   beginRecoveryClock(M.sim().now());
-  RegionConfig C = P.DegradeToSeqOnEscalation &&
-                           Runner.region().hasVariant(Scheme::Seq)
+  // SEQ's distinct task names dodge a fault bound to a parallel task.
+  RegionConfig C = Runner.region().hasVariant(Scheme::Seq)
                        ? Runner.region().unitConfig(Scheme::Seq)
                        : Runner.config();
   // The escalation fires from inside a worker's resume(); aborting that
@@ -119,7 +123,6 @@ void Watchdog::tick() {
     unsigned R = M.rescueStranded();
     Rescued += R;
     if (Tel) {
-      Tel->metrics().counter("watchdog.detections").add();
       Tel->metrics()
           .histogram("watchdog.detect_latency_us")
           .add(sim::toSeconds(LastDetectionLatency) * 1e6);
@@ -139,7 +142,6 @@ void Watchdog::tick() {
     ++Growths;
     LastGrowthLatency = Now - M.lastOnlineAt();
     if (Tel) {
-      Tel->metrics().counter("watchdog.growths").add();
       Tel->metrics()
           .histogram("watchdog.grow_latency_us")
           .add(sim::toSeconds(LastGrowthLatency) * 1e6);
@@ -180,7 +182,6 @@ void Watchdog::tick() {
       RegionExec::BlameVerdict V =
           E->blameScan(Now, P.BlameThreshold, P.BlameMargin);
       if (Tel) {
-        Tel->metrics().counter("watchdog.stalls").add();
         sim::SimTime OldestBeat = Now;
         for (unsigned T = 0; T < E->numTasks(); ++T)
           OldestBeat = std::min(OldestBeat, E->lastHeartbeat(T));
@@ -196,18 +197,16 @@ void Watchdog::tick() {
              telemetry::TraceArg::num("culprit_workers", V.CulpritWorkers)});
       }
       bool Handled = false;
-      if (P.SurgicalRestart && !SurgicalSinceProgress && V.Blamed) {
+      if (!SurgicalSinceProgress && V.Blamed) {
         ++BlamesAssigned;
         LastBlamedTask = V.TaskIdx;
-        if (Tel) {
-          Tel->metrics().counter("watchdog.blames").add();
+        if (Tel)
           Tel->instant(TelPid, telemetry::TidWatchdog, "watchdog",
                        "watchdog_blame",
                        {telemetry::TraceArg::num("task", V.TaskIdx),
                         telemetry::TraceArg::num(
                             "beat_age_us",
                             sim::toSeconds(Now - V.OldestBeat) * 1e6)});
-        }
         RegionExec::RestartResult R = Ctrl.surgicalRestart(V.TaskIdx);
         if (R.Restarted > 0 || R.Rescued > 0) {
           ++SurgicalRestarts;
@@ -215,8 +214,6 @@ void Watchdog::tick() {
           SurgicalSinceProgress = true;
           beginRecoveryClock(LastProgressAt, /*Surgical=*/true);
           LastProgressAt = Now; // re-arm: do not refire every tick
-          if (Tel)
-            Tel->metrics().counter("watchdog.surgical_restarts").add();
           if (OnSurgicalRestart)
             OnSurgicalRestart(V.TaskIdx);
           Handled = true;
@@ -226,11 +223,7 @@ void Watchdog::tick() {
         // Ambiguous or absent blame, a restart that achieved nothing, or
         // a repeat stall with no progress since the last surgical repair:
         // the conservative whole-region recovery.
-        if (P.SurgicalRestart) {
-          ++FallbackAborts;
-          if (Tel)
-            Tel->metrics().counter("watchdog.fallback_aborts").add();
-        }
+        ++FallbackAborts;
         unsigned R = M.rescueStranded();
         Rescued += R;
         beginRecoveryClock(LastProgressAt);
@@ -255,8 +248,7 @@ void Watchdog::tick() {
         Runner.exec()->speculateLaggard(Now, P.SpecAgeThreshold);
     if (S.Issued) {
       ++SpeculationsIssued;
-      if (Tel) {
-        Tel->metrics().counter("watchdog.speculations").add();
+      if (Tel)
         Tel->instant(TelPid, telemetry::TidWatchdog, "watchdog",
                      "watchdog_speculate",
                      {telemetry::TraceArg::num("task", S.TaskIdx),
@@ -265,7 +257,6 @@ void Watchdog::tick() {
                       telemetry::TraceArg::num(
                           "quiet_us",
                           sim::toSeconds(Now - LastProgressAt) * 1e6)});
-      }
     }
   }
 
@@ -285,7 +276,6 @@ void Watchdog::tick() {
       LastSurgicalMttr = LastMttr;
     }
     if (Tel) {
-      Tel->metrics().counter("watchdog.recoveries").add();
       Tel->metrics()
           .histogram("watchdog.mttr_us")
           .add(sim::toSeconds(LastMttr) * 1e6);

@@ -26,6 +26,8 @@
 ///  * degrades the region (typically to SEQ) when a transient fault
 ///    exhausts its retry budget, side-stepping the poisoned
 ///    configuration;
+///  * on a failure-domain warning, migrates the region off the doomed
+///    cores before they die (zero aborted work);
 ///  * records detection latency and MTTR (fault time -> first iteration
 ///    retired after recovery) as metrics histograms.
 ///
@@ -51,13 +53,6 @@ struct WatchdogParams {
   /// No retired iteration for this long (with work in flight and no
   /// transition in progress) counts as a stall.
   sim::SimTime StallThreshold = 4 * sim::MSec;
-  /// On retry exhaustion, degrade to the SEQ variant (whose distinct task
-  /// names dodge a fault bound to a parallel task). When false, recover
-  /// into the current configuration instead.
-  bool DegradeToSeqOnEscalation = true;
-  /// On a stall, try to blame and restart the single wedged task before
-  /// reaching for the whole-region abortive recovery.
-  bool SurgicalRestart = true;
   /// A task is only blamed when its oldest culprit worker has been silent
   /// at least this long (kept below StallThreshold so a genuine stall
   /// always has a convictable culprit by the time it is detected).
@@ -65,11 +60,6 @@ struct WatchdogParams {
   /// Blame is ambiguous — fall back to abortive recovery — when a second
   /// task's culprit is within this margin of the oldest one.
   sim::SimTime BlameMargin = 500 * sim::USec;
-  /// React to failure-domain *warnings* (sim/Faults.h lead time) by
-  /// proactively checkpointing the region and migrating it off the
-  /// doomed cores before they die — zero aborted work, versus the
-  /// reactive rescue + abort path when the domain fails unannounced.
-  bool DrainOnWarning = true;
   /// Speculative re-issue (straggler avoidance, serving mode): when
   /// commit progress has been quiet for SpecStallThreshold and the oldest
   /// in-flight iteration sits mid-compute on a *penalized* core, clone it
@@ -210,6 +200,7 @@ private:
   // Telemetry (null when tracing is off).
   telemetry::TraceRecorder *Tel = nullptr;
   std::uint32_t TelPid = 0;
+  telemetry::CounterExport Counters; ///< declared last: destroyed first
 };
 
 } // namespace parcae::rt

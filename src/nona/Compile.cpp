@@ -681,7 +681,7 @@ CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
   }
 
   // --- DOANY variant (Section 4.3.1) ----------------------------------
-  if (Opt.EnableDoAny && P->inhibitors().empty()) {
+  if (P->inhibitors().empty()) {
     auto TL = std::make_shared<TaskLower>();
     TL->St = St;
     TL->FullOwnership = true;
@@ -694,88 +694,86 @@ CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
     D.Tasks.push_back(MakeVariantTask(TL, "doany", rt::TaskType::Par));
     Region.addVariant(std::move(D));
     Rep += "  DOANY: applicable\n";
-  } else if (Opt.EnableDoAny) {
+  } else {
     Rep += "  DOANY: rejected (" +
            std::to_string(P->inhibitors().size()) +
            " inhibiting dependencies)\n";
   }
 
   // --- PS-DSWP variant (Sections 4.3.2-4.5) ---------------------------
-  if (Opt.EnablePsDswp) {
-    PartitionPlan Plan = psdswpPartition(*P, Opt);
-    std::string Why;
-    bool Valid = checkCoalescenceInvariant(*P, Plan, &Why);
-    assert(Valid && "partitioner violated Invariant 4.3.1");
-    (void)Valid;
-    bool AnyParallel = false;
-    for (const TaskPlan &T : Plan.Tasks)
-      AnyParallel |= T.Parallel;
-    if (Plan.Tasks.size() >= 2 && AnyParallel) {
-      // Task of each instruction.
-      std::map<unsigned, unsigned> TaskOf;
-      for (unsigned T = 0; T < Plan.Tasks.size(); ++T)
-        for (unsigned Id : Plan.Tasks[T].InstIds)
-          TaskOf[Id] = T;
+  PartitionPlan Plan = psdswpPartition(*P, Opt);
+  std::string Why;
+  bool Valid = checkCoalescenceInvariant(*P, Plan, &Why);
+  assert(Valid && "partitioner violated Invariant 4.3.1");
+  (void)Valid;
+  bool AnyParallel = false;
+  for (const TaskPlan &T : Plan.Tasks)
+    AnyParallel |= T.Parallel;
+  if (Plan.Tasks.size() >= 2 && AnyParallel) {
+    // Task of each instruction.
+    std::map<unsigned, unsigned> TaskOf;
+    for (unsigned T = 0; T < Plan.Tasks.size(); ++T)
+      for (unsigned Id : Plan.Tasks[T].InstIds)
+        TaskOf[Id] = T;
 
-      // Cross-task links and payloads (MTCG, Section 4.4: one
-      // point-to-point channel set per communicating task pair).
-      std::map<std::pair<unsigned, unsigned>, std::vector<ValueId>> LinkVals;
-      for (const PDGEdge &E : P->edges()) {
-        if (E.removable())
-          continue;
-        unsigned A = TaskOf.at(E.From), B = TaskOf.at(E.To);
-        if (A == B)
-          continue;
-        assert(A < B && "pipeline order violated");
-        auto &Vals = LinkVals[{A, B}];
-        const Instruction *From = F.instById(E.From);
-        ValueId V = NoValue;
-        if (E.Kind == DepKind::Reg) {
-          // Induction-phi values are recomputed locally, never sent.
-          if (!St->InductionByPhi.count(From->Id))
-            V = From->Def;
-        } else if (E.Kind == DepKind::Control) {
-          V = From->Uses.empty() ? NoValue : From->Uses[0];
-        } // Mem edges synchronize through the channel itself.
-        if (V != NoValue &&
-            std::find(Vals.begin(), Vals.end(), V) == Vals.end())
-          Vals.push_back(V);
-      }
-
-      rt::RegionDesc D;
-      D.Name = F.name() + "-psdswp";
-      D.S = rt::Scheme::PsDswp;
-      std::vector<std::shared_ptr<TaskLower>> TLs;
-      for (unsigned T = 0; T < Plan.Tasks.size(); ++T) {
-        auto TL = std::make_shared<TaskLower>();
-        TL->St = St;
-        TL->IsHead = T == 0;
-        TL->Owned.assign(F.numInsts(), 0);
-        for (unsigned Id : Plan.Tasks[T].InstIds) {
-          TL->Owned[Id] = 1;
-          if (Id == St->TailBranch->Id)
-            TL->OwnsTailBranch = true;
-        }
-        I->Lowerings.push_back(TL);
-        TLs.push_back(TL);
-        D.Tasks.push_back(MakeVariantTask(
-            TL, "stage" + std::to_string(T),
-            Plan.Tasks[T].Parallel ? rt::TaskType::Par : rt::TaskType::Seq));
-      }
-      for (auto &[Pair, Vals] : LinkVals) {
-        std::sort(Vals.begin(), Vals.end());
-        D.Links.push_back({Pair.first, Pair.second});
-        TLs[Pair.first]->OutVals.push_back(Vals);
-        TLs[Pair.second]->InVals.push_back(Vals);
-      }
-      Rep += "  PS-DSWP: " + std::to_string(Plan.Tasks.size()) + " stages (";
-      for (unsigned T = 0; T < Plan.Tasks.size(); ++T)
-        Rep += std::string(Plan.Tasks[T].Parallel ? "P" : "S");
-      Rep += "), " + std::to_string(D.Links.size()) + " channels\n";
-      Region.addVariant(std::move(D));
-    } else {
-      Rep += "  PS-DSWP: degenerate (no pipeline parallelism)\n";
+    // Cross-task links and payloads (MTCG, Section 4.4: one
+    // point-to-point channel set per communicating task pair).
+    std::map<std::pair<unsigned, unsigned>, std::vector<ValueId>> LinkVals;
+    for (const PDGEdge &E : P->edges()) {
+      if (E.removable())
+        continue;
+      unsigned A = TaskOf.at(E.From), B = TaskOf.at(E.To);
+      if (A == B)
+        continue;
+      assert(A < B && "pipeline order violated");
+      auto &Vals = LinkVals[{A, B}];
+      const Instruction *From = F.instById(E.From);
+      ValueId V = NoValue;
+      if (E.Kind == DepKind::Reg) {
+        // Induction-phi values are recomputed locally, never sent.
+        if (!St->InductionByPhi.count(From->Id))
+          V = From->Def;
+      } else if (E.Kind == DepKind::Control) {
+        V = From->Uses.empty() ? NoValue : From->Uses[0];
+      } // Mem edges synchronize through the channel itself.
+      if (V != NoValue &&
+          std::find(Vals.begin(), Vals.end(), V) == Vals.end())
+        Vals.push_back(V);
     }
+
+    rt::RegionDesc D;
+    D.Name = F.name() + "-psdswp";
+    D.S = rt::Scheme::PsDswp;
+    std::vector<std::shared_ptr<TaskLower>> TLs;
+    for (unsigned T = 0; T < Plan.Tasks.size(); ++T) {
+      auto TL = std::make_shared<TaskLower>();
+      TL->St = St;
+      TL->IsHead = T == 0;
+      TL->Owned.assign(F.numInsts(), 0);
+      for (unsigned Id : Plan.Tasks[T].InstIds) {
+        TL->Owned[Id] = 1;
+        if (Id == St->TailBranch->Id)
+          TL->OwnsTailBranch = true;
+      }
+      I->Lowerings.push_back(TL);
+      TLs.push_back(TL);
+      D.Tasks.push_back(MakeVariantTask(
+          TL, "stage" + std::to_string(T),
+          Plan.Tasks[T].Parallel ? rt::TaskType::Par : rt::TaskType::Seq));
+    }
+    for (auto &[Pair, Vals] : LinkVals) {
+      std::sort(Vals.begin(), Vals.end());
+      D.Links.push_back({Pair.first, Pair.second});
+      TLs[Pair.first]->OutVals.push_back(Vals);
+      TLs[Pair.second]->InVals.push_back(Vals);
+    }
+    Rep += "  PS-DSWP: " + std::to_string(Plan.Tasks.size()) + " stages (";
+    for (unsigned T = 0; T < Plan.Tasks.size(); ++T)
+      Rep += std::string(Plan.Tasks[T].Parallel ? "P" : "S");
+    Rep += "), " + std::to_string(D.Links.size()) + " channels\n";
+    Region.addVariant(std::move(D));
+  } else {
+    Rep += "  PS-DSWP: degenerate (no pipeline parallelism)\n";
   }
 }
 

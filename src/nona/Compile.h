@@ -44,8 +44,6 @@ struct CompilerOptions {
   /// lighter subgraphs coalesce into a single task (the paper's SCCmin
   /// aggregation heuristic).
   double SccMinWeight = 40.0;
-  bool EnableDoAny = true;
-  bool EnablePsDswp = true;
 };
 
 /// One task of a partition: a set of SCC indices.

@@ -75,16 +75,25 @@ private:
 ServeLoop::ServeLoop(sim::Machine &M, const rt::RuntimeCosts &Costs,
                      rt::PlatformDaemon &Daemon)
     : M(M), Sim(M.sim()), Costs(Costs), Daemon(Daemon) {
-#if PARCAE_TELEMETRY_ENABLED
   Tel = telemetry::recorder();
   if (Tel) {
     TelPid = Tel->processFor("serve");
-    CntAdmitted = &Tel->metrics().counter("serve.admitted");
-    CntRejected = &Tel->metrics().counter("serve.rejected");
-    CntShed = &Tel->metrics().counter("serve.shed");
-    CntMigrated = &Tel->metrics().counter("serve.migrations");
+    // Totals over every class, read from the per-class stats.
+    auto Total = [this](std::uint64_t ClassStats::*Field) {
+      return [this, Field] {
+        std::uint64_t N = 0;
+        for (const auto &C : Classes)
+          N += C->Stats.*Field;
+        return N;
+      };
+    };
+    constexpr auto Always = telemetry::Listing::Always;
+    Counters.bind(Tel->metrics());
+    Counters.add("serve.admitted", Total(&ClassStats::Admitted), Always);
+    Counters.add("serve.rejected", Total(&ClassStats::Rejected), Always);
+    Counters.add("serve.shed", Total(&ClassStats::Shed), Always);
+    Counters.add("serve.migrations", MigratedBatches, Always);
   }
-#endif
   // Proactively migrate in-flight request regions off a failure domain
   // when the machine announces it ahead of time. The listener outlives
   // nothing: the loop and the machine share the benchmark's scope, and
@@ -167,8 +176,6 @@ void ServeLoop::arrive(unsigned Idx) {
   Req->ArrivedAt = Sim.now();
   if (!C.Desc.Policy->admit(*Req, C.Queue.size(), C.Desc.QueueCapacity)) {
     ++C.Stats.Rejected;
-    if (CntRejected)
-      CntRejected->add();
     // Rejected requests finish here: mark and finalize them so
     // per-request observers see every arrival's outcome (shed requests
     // already flow through finalize; silently dropping rejections made
@@ -178,8 +185,6 @@ void ServeLoop::arrive(unsigned Idx) {
     return;
   }
   ++C.Stats.Admitted;
-  if (CntAdmitted)
-    CntAdmitted->add();
   C.Queue.push_back(std::move(Req));
   pump(Idx);
 }
@@ -206,8 +211,6 @@ void ServeLoop::pump(unsigned Idx) {
       if (C.Desc.Policy->shedAtDispatch(*Req, Sim.now())) {
         Req->Shed = true;
         ++C.Stats.Shed;
-        if (CntShed)
-          CntShed->add();
         finalize(Idx, *Req);
         continue;
       }
@@ -284,12 +287,11 @@ void ServeLoop::closeBatch(unsigned Idx, BatchClose Why) {
   }
   // Trace only real coalescing: a singleton-per-request stream would
   // double the unbatched trace volume for no information.
-  if (C.Desc.Batch.enabled())
-    PARCAE_TRACE(
-        Tel, instant(TelPid, 0, "serve", "batch_close",
-                     {telemetry::TraceArg::str("class", C.Desc.Name),
-                      telemetry::TraceArg::num("size", Members.size()),
-                      telemetry::TraceArg::str("why", batchCloseName(Why))}));
+  if (Tel && C.Desc.Batch.enabled())
+    Tel->instant(TelPid, 0, "serve", "batch_close",
+                 {telemetry::TraceArg::str("class", C.Desc.Name),
+                  telemetry::TraceArg::num("size", Members.size()),
+                  telemetry::TraceArg::str("why", batchCloseName(Why))});
   dispatch(Idx, std::move(Members));
 }
 
@@ -397,10 +399,10 @@ void ServeLoop::onDomainWarning(const sim::FailureDomainEvent &D) {
   DrainCores = D.Cores;
   DrainMigrations.clear();
   DrainPending = 0;
-  PARCAE_TRACE(
-      Tel, instant(TelPid, 0, "serve", "serve_drain",
-                   {telemetry::TraceArg::str("domain", D.Name),
-                    telemetry::TraceArg::num("cores", D.Cores.size())}));
+  if (Tel)
+    Tel->instant(TelPid, 0, "serve", "serve_drain",
+                 {telemetry::TraceArg::str("domain", D.Name),
+                  telemetry::TraceArg::num("cores", D.Cores.size())});
   // Checkpoint every in-flight request region. Suspended runners hold no
   // thread, so once the last one quiesces the doomed cores are idle.
   for (unsigned Idx = 0; Idx < Classes.size(); ++Idx) {
@@ -432,33 +434,29 @@ void ServeLoop::finishDrain() {
     Mg.F->Runner->resume(Mg.CP.Config, Mg.CP.Cursor);
     // A migrated batch carries every still-unfinished member request.
     Migrations += Mg.F->Members.size() - Mg.F->Attributed;
-    if (CntMigrated)
-      CntMigrated->add();
-    PARCAE_TRACE(
-        Tel, instant(TelPid, 0, "serve", "migrate",
-                     {telemetry::TraceArg::str("class",
-                                               Classes[Mg.ClassIdx]->Desc.Name),
-                      telemetry::TraceArg::num("request",
-                                               Mg.F->Members.front()->Id),
-                      telemetry::TraceArg::num("members",
-                                               Mg.F->Members.size() -
-                                                   Mg.F->Attributed),
-                      telemetry::TraceArg::num("cursor", Mg.CP.Cursor)}));
+    ++MigratedBatches;
+    if (Tel)
+      Tel->instant(TelPid, 0, "serve", "migrate",
+                   {telemetry::TraceArg::str("class",
+                                             Classes[Mg.ClassIdx]->Desc.Name),
+                    telemetry::TraceArg::num("request",
+                                             Mg.F->Members.front()->Id),
+                    telemetry::TraceArg::num("members",
+                                             Mg.F->Members.size() -
+                                                 Mg.F->Attributed),
+                    telemetry::TraceArg::num("cursor", Mg.CP.Cursor)});
   }
   ++DrainsCompleted;
-  PARCAE_TRACE(
-      Tel,
-      instant(TelPid, 0, "serve", "serve_drain_done",
-              {telemetry::TraceArg::num("migrated", DrainMigrations.size()),
-               telemetry::TraceArg::num(
-                   "latency_us",
-                   sim::toSeconds(Sim.now() - DrainStartAt) * 1e6)}));
-#if PARCAE_TELEMETRY_ENABLED
+  if (Tel)
+    Tel->instant(TelPid, 0, "serve", "serve_drain_done",
+                 {telemetry::TraceArg::num("migrated", DrainMigrations.size()),
+                  telemetry::TraceArg::num(
+                      "latency_us",
+                      sim::toSeconds(Sim.now() - DrainStartAt) * 1e6)});
   if (Tel)
     Tel->metrics()
         .histogram("serve.drain_latency_us")
         .add(sim::toSeconds(Sim.now() - DrainStartAt) * 1e6);
-#endif
   DrainMigrations.clear();
   DrainCores.clear();
   DrainActive = false;
@@ -480,11 +478,6 @@ void ServeLoop::finalize(unsigned Idx, const ServeRequest &R) {
     OnRequestDone(R);
 }
 
-const std::string &ServeLoop::className(unsigned Idx) const {
-  assert(Idx < Classes.size());
-  return Classes[Idx]->Desc.Name;
-}
-
 const ServeLoop::ClassStats &ServeLoop::stats(unsigned Idx) const {
   assert(Idx < Classes.size());
   return Classes[Idx]->Stats;
@@ -493,6 +486,11 @@ const ServeLoop::ClassStats &ServeLoop::stats(unsigned Idx) const {
 std::size_t ServeLoop::queueDepth(unsigned Idx) const {
   assert(Idx < Classes.size());
   return Classes[Idx]->Queue.size();
+}
+
+std::size_t ServeLoop::formingDepth(unsigned Idx) const {
+  assert(Idx < Classes.size());
+  return Classes[Idx]->Forming.size();
 }
 
 unsigned ServeLoop::inService(unsigned Idx) const {

@@ -118,13 +118,14 @@ public:
     Histogram TotalUs;
   };
 
-  unsigned numClasses() const { return static_cast<unsigned>(Classes.size()); }
-  const std::string &className(unsigned Idx) const;
   const ClassStats &stats(unsigned Idx) const;
   /// Batch dispatch statistics (singleton dispatches count as batches
   /// of one, so Batches always equals regions spun up for the class).
   const BatchStats &batchStats(unsigned Idx) const;
   std::size_t queueDepth(unsigned Idx) const;
+  /// Requests in the forming batch: off the queue, not yet dispatched.
+  /// Observability only; admission and the arbiter do not read it.
+  std::size_t formingDepth(unsigned Idx) const;
   /// In-flight batches (each holds one region/runner; a batch may carry
   /// up to BatchPolicy::MaxBatch member requests).
   unsigned inService(unsigned Idx) const;
@@ -152,8 +153,10 @@ public:
 
   // --- Drain / migration (failure-domain warnings) ---------------------
 
-  /// In-flight request regions migrated off a doomed failure domain.
+  /// Member requests of the batches migrated off a doomed domain.
   std::uint64_t migrations() const { return Migrations; }
+  /// In-flight batches (regions) migrated; serve.migrations counts these.
+  std::uint64_t migratedBatches() const { return MigratedBatches; }
   /// Warning drains completed (all in-flight requests checkpointed,
   /// doomed cores offlined, everything resumed on the survivors).
   unsigned drainsCompleted() const { return DrainsCompleted; }
@@ -274,15 +277,13 @@ private:
   /// work and abort its requests).
   std::deque<sim::FailureDomainEvent> PendingWarnings;
   std::uint64_t Migrations = 0;
+  std::uint64_t MigratedBatches = 0;
   unsigned DrainsCompleted = 0;
 
   // Telemetry (null when tracing is off).
   telemetry::TraceRecorder *Tel = nullptr;
   std::uint32_t TelPid = 0;
-  telemetry::Counter *CntAdmitted = nullptr;
-  telemetry::Counter *CntRejected = nullptr;
-  telemetry::Counter *CntShed = nullptr;
-  telemetry::Counter *CntMigrated = nullptr;
+  telemetry::CounterExport Counters; ///< declared last: destroyed first
 };
 
 } // namespace parcae::serve

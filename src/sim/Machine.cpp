@@ -37,20 +37,28 @@ void Waitable::notifyOne() {
 Machine::Machine(Simulator &Sim, unsigned NumCores, MachineConfig Cfg)
     : Sim(Sim), Cfg(Cfg), Cores(NumCores), OnlineCount(NumCores) {
   assert(NumCores > 0 && "machine needs at least one core");
-#if PARCAE_TELEMETRY_ENABLED
   Tel = telemetry::recorder();
   if (Tel) {
     Tel->bindClock(Sim);
     TelPid = Tel->processFor("machine");
     for (unsigned I = 0; I < NumCores; ++I)
       Tel->nameThread(TelPid, I, "core " + std::to_string(I));
-    CtxSwitchMetric = &Tel->metrics().counter("machine.ctx_switches");
-    SliceMetric = &Tel->metrics().counter("machine.slices");
     CoreRateMetric = &Tel->metrics().gauge("machine.core_rate");
     CoreRateMetric->set(1.0);
     TelCoreSpan.assign(NumCores, nullptr);
+    Counters.bind(Tel->metrics());
+    Counters.add("machine.slices", Cnt.Slices, telemetry::Listing::Always);
+    Counters.add("machine.ctx_switches", Cnt.CtxSwitches,
+                 telemetry::Listing::Always);
+    Counters.add("machine.cores_penalized", Cnt.CoresPenalized);
+    Counters.add("machine.cores_recovered", Cnt.CoresRecovered);
+    Counters.add("machine.faults.offline", Cnt.Offlines);
+    Counters.add("machine.faults.domain_warnings", Cnt.DomainWarnings);
+    Counters.add("machine.faults.rescued", Cnt.Rescued);
+    Counters.add("machine.faults.wedges",
+                 [this] { return FiredWedges.size(); });
+    Counters.add("machine.repairs", RepairedCount);
   }
-#endif
 }
 
 Machine::~Machine() {
@@ -292,10 +300,11 @@ void Machine::startSlice(unsigned CoreIdx, SimThread *T) {
   C.SliceWork = SliceLen;
   C.SliceDilation = Dilation;
   std::uint64_t Epoch = ++C.Epoch;
+  ++Cnt.Slices;
+  if (Overhead > 0)
+    ++Cnt.CtxSwitches;
   if (Tel) {
-    SliceMetric->add();
     if (Overhead > 0) {
-      CtxSwitchMetric->add();
       Tel->instant(TelPid, CoreIdx, "machine", "ctx_switch",
                    {telemetry::TraceArg::num(
                        "cost_us", toSeconds(Overhead) * 1e6)});
@@ -348,7 +357,6 @@ void Machine::endSlice(unsigned CoreIdx, SimThread *T, SimTime SliceLen,
 
   assert(T->RemainingBurst >= SliceLen);
   T->RemainingBurst -= SliceLen;
-  T->BusyTime += SliceLen * (1 + T->GangHold);
   if (T->RemainingBurst == 0 && T->GangHold > 0)
     releaseGangHold(T);
   T->State = ThreadState::Ready;
@@ -377,11 +385,9 @@ void Machine::noteSliceRate(unsigned CoreIdx) {
   if (Pen == C.PenalizedMark)
     return;
   C.PenalizedMark = Pen;
+  ++(Pen ? Cnt.CoresPenalized : Cnt.CoresRecovered);
   if (Tel) {
     CoreRateMetric->set(minCoreRate());
-    Tel->metrics()
-        .counter(Pen ? "machine.cores_penalized" : "machine.cores_recovered")
-        .add();
     Tel->instant(TelPid, CoreIdx, "machine",
                  Pen ? "core_penalized" : "core_recovered",
                  {telemetry::TraceArg::num("rate", C.Rate),
@@ -467,8 +473,8 @@ void Machine::installFaultPlan(FaultPlan NewPlan) {
     if (D.Warning > 0) {
       SimTime WarnAt = D.Warning >= D.At ? 0 : D.At - D.Warning;
       Sim.scheduleAt(WarnAt, [this, &D] {
+        ++Cnt.DomainWarnings;
         if (Tel) {
-          Tel->metrics().counter("machine.faults.domain_warnings").add();
           Tel->instant(TelPid, 0, "machine", "fault_domain_warning",
                        {telemetry::TraceArg::str("domain", D.Name),
                         telemetry::TraceArg::num(
@@ -523,7 +529,6 @@ void Machine::offlineCore(unsigned CoreIdx) {
           C.SliceWork);
     assert(T->RemainingBurst >= Done);
     T->RemainingBurst -= Done;
-    T->BusyTime += Done * (1 + T->GangHold);
     ++C.Epoch; // cancel the in-flight endSlice
     C.Running = nullptr;
     C.LastThread = T;
@@ -534,8 +539,8 @@ void Machine::offlineCore(unsigned CoreIdx) {
     // completes on rescue.
     setBusyCount(BusyCount - 1);
   }
+  ++Cnt.Offlines;
   if (Tel) {
-    Tel->metrics().counter("machine.faults.offline").add();
     Tel->instant(TelPid, CoreIdx, "machine", "fault_offline",
                  {telemetry::TraceArg::num("online", OnlineCount),
                   telemetry::TraceArg::num("stranded", StrandedCount)});
@@ -570,7 +575,6 @@ void Machine::onlineCore(unsigned CoreIdx) {
   ++RepairedCount;
   LastOnlineAt = Sim.now();
   if (Tel) {
-    Tel->metrics().counter("machine.repairs").add();
     Tel->instant(TelPid, CoreIdx, "machine", "repair_online",
                  {telemetry::TraceArg::num("online", OnlineCount)});
     emitCapacitySample();
@@ -609,12 +613,11 @@ unsigned Machine::rescueStranded(const std::vector<SimThread *> &Targets) {
     ++N;
   }
   if (N > 0) {
-    if (Tel) {
-      Tel->metrics().counter("machine.faults.rescued").add(N);
+    Cnt.Rescued += N;
+    if (Tel)
       Tel->instant(TelPid, 0, "machine", "rescue",
                    {telemetry::TraceArg::num("threads", N),
                     telemetry::TraceArg::num("still_stranded", StrandedCount)});
-    }
     dispatch();
   }
   return N;
@@ -625,12 +628,10 @@ bool Machine::takeWedge(const std::string &Task, std::uint64_t Seq) {
     return false;
   if (!FiredWedges.insert({Task, Seq}).second)
     return false; // already fired once: the retry runs normally
-  if (Tel) {
-    Tel->metrics().counter("machine.faults.wedges").add();
+  if (Tel)
     Tel->instant(TelPid, 0, "machine", "fault_wedge",
                  {telemetry::TraceArg::str("task", Task),
                   telemetry::TraceArg::num("seq", static_cast<double>(Seq))});
-  }
   return true;
 }
 

@@ -134,8 +134,6 @@ public:
   Machine &machine() const { return *M; }
   /// Signalled (notifyAll) when the thread finishes.
   Waitable &exitEvent() { return ExitEvent; }
-  /// Total compute time the thread has accumulated (excludes switch costs).
-  SimTime busyTime() const { return BusyTime; }
 
 private:
   friend class Machine;
@@ -154,7 +152,6 @@ private:
   /// the current value are stale (see Waitable).
   std::uint64_t BlockSeq = 0;
   SimTime RemainingBurst = 0;
-  SimTime BusyTime = 0;
   int CoreIdx = -1;
   unsigned GangHold = 0; ///< helper cores reserved for the current burst
   // A gang compute that could not reserve its helpers yet; retried when
@@ -323,10 +320,17 @@ public:
   /// healthy machine) — the Decima MinCoreRate sensor.
   double minCoreRate() const;
 
-  /// Telemetry sink (null = tracing off). Picked up from the process-wide
-  /// recorder at construction; the machine binds the recorder's virtual
-  /// clock to its simulator, rebasing time across successive runs.
-  telemetry::TraceRecorder *traceRecorder() { return Tel; }
+  /// Event counts over the machine's life (machine.* metrics).
+  struct Counts {
+    std::uint64_t Slices = 0;         ///< slices dispatched
+    std::uint64_t CtxSwitches = 0;    ///< slices that paid a switch cost
+    std::uint64_t CoresPenalized = 0; ///< slow-core penalty transitions
+    std::uint64_t CoresRecovered = 0; ///< ... and their reversals
+    std::uint64_t Offlines = 0;       ///< cores failed
+    std::uint64_t DomainWarnings = 0; ///< failure-domain warnings fired
+    std::uint64_t Rescued = 0;        ///< stranded threads re-queued
+  };
+  const Counts &counts() const { return Cnt; }
 
 private:
   friend class Waitable;
@@ -400,8 +404,6 @@ private:
   // test on the hot path then).
   telemetry::TraceRecorder *Tel = nullptr;
   std::uint32_t TelPid = 0;
-  telemetry::Counter *CtxSwitchMetric = nullptr;
-  telemetry::Counter *SliceMetric = nullptr;
   telemetry::Gauge *CoreRateMetric = nullptr;
   /// Open core-occupancy span per core: consecutive slices of one thread
   /// coalesce into a single span (a trace event per quantum would flood).
@@ -411,6 +413,8 @@ private:
   unsigned TelBusyEmitted = ~0u;
   SimTime TelBusyLastTs = 0;
   bool TelBusyFlushArmed = false;
+  Counts Cnt;
+  telemetry::CounterExport Counters; ///< declared last: destroyed first
 };
 
 } // namespace parcae::sim

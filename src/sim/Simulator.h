@@ -145,7 +145,6 @@ public:
     Mode = M;
     WheelOn = M == QueueMode::Wheel;
   }
-  QueueMode queueMode() const { return Mode; }
 
   /// Re-sizes the wheel horizon (power of two in [16, 2^20] cycles).
   /// Only legal while the queue is empty.
@@ -153,7 +152,6 @@ public:
     assert(empty() && "cannot re-size the wheel with events pending");
     Wheel.configure(Buckets);
   }
-  std::size_t wheelSpan() const { return Wheel.span(); }
 
   /// Tier counters and occupancy (see QueueStats).
   QueueStats queueStats() const {

@@ -491,7 +491,9 @@ TraceFile::~TraceFile() {
     std::string MPath = Path + ".metrics.txt";
     std::FILE *F = std::fopen(MPath.c_str(), "w");
     if (F) {
-      std::string Text = Rec->metrics().snapshot(Rec->now()).text();
+      // Not now(): the simulator the clock was bound to is gone.
+      std::string Text =
+          Rec->metrics().snapshot(Rec->lastTimestamp()).text();
       std::fwrite(Text.data(), 1, Text.size(), F);
       std::fclose(F);
       std::fprintf(stderr, "[telemetry] metrics dump: %s\n", MPath.c_str());

@@ -3,57 +3,79 @@
 #include "telemetry/Metrics.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 
 using namespace parcae::telemetry;
 
-Counter &MetricsRegistry::counter(const std::string &Name) {
-  for (auto &E : Counters)
+CounterExport::~CounterExport() {
+  if (!Reg)
+    return;
+  for (const Source &S : Sources)
+    Reg->Counters[S.Row].Retired += S.Read();
+  Reg->Exports.erase(
+      std::find(Reg->Exports.begin(), Reg->Exports.end(), this));
+}
+
+void CounterExport::bind(MetricsRegistry &R) {
+  assert(!Reg && "counter export bound twice");
+  Reg = &R;
+  R.Exports.push_back(this);
+}
+
+void CounterExport::add(const std::string &Name, Reader Read, Listing L) {
+  if (Reg)
+    Sources.push_back({Reg->counterRow(Name, L), std::move(Read)});
+}
+
+MetricsRegistry::~MetricsRegistry() {
+  for (CounterExport *E : Exports)
+    E->Reg = nullptr;
+}
+
+std::size_t MetricsRegistry::counterRow(const std::string &Name, Listing L) {
+  std::size_t Row = 0;
+  while (Row < Counters.size() && Counters[Row].Name != Name)
+    ++Row;
+  if (Row == Counters.size())
+    Counters.push_back({Name});
+  Counters[Row].Always |= L == Listing::Always;
+  return Row;
+}
+
+template <class T>
+T &MetricsRegistry::lookup(std::vector<Named<T>> &List,
+                           const std::string &Name) {
+  for (auto &E : List)
     if (E.Name == Name)
       return *E.M;
-  Counters.push_back({Name, std::make_unique<Counter>()});
-  return *Counters.back().M;
+  List.push_back({Name, std::make_unique<T>()});
+  return *List.back().M;
 }
 
 Gauge &MetricsRegistry::gauge(const std::string &Name) {
-  for (auto &E : Gauges)
-    if (E.Name == Name)
-      return *E.M;
-  Gauges.push_back({Name, std::make_unique<Gauge>()});
-  return *Gauges.back().M;
+  return lookup(Gauges, Name);
 }
 
 parcae::Histogram &MetricsRegistry::histogram(const std::string &Name) {
-  for (auto &E : Histograms)
-    if (E.Name == Name)
-      return *E.M;
-  Histograms.push_back({Name, std::make_unique<Histogram>()});
-  return *Histograms.back().M;
-}
-
-void MetricsRegistry::clear() {
-  Counters.clear();
-  Gauges.clear();
-  Histograms.clear();
+  return lookup(Histograms, Name);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot(sim::SimTime Now) const {
   MetricsSnapshot S;
   S.At = Now;
-  for (const auto &E : Counters) {
-    MetricRow R;
-    R.K = MetricRow::Kind::Counter;
-    R.Name = E.Name;
-    R.Value = static_cast<double>(E.M->value());
-    S.Rows.push_back(std::move(R));
-  }
-  for (const auto &E : Gauges) {
-    MetricRow R;
-    R.K = MetricRow::Kind::Gauge;
-    R.Name = E.Name;
-    R.Value = E.M->value();
-    S.Rows.push_back(std::move(R));
-  }
+  std::vector<std::uint64_t> Totals;
+  for (const CounterTotal &C : Counters)
+    Totals.push_back(C.Retired);
+  for (const CounterExport *E : Exports)
+    for (const CounterExport::Source &Src : E->Sources)
+      Totals[Src.Row] += Src.Read();
+  for (std::size_t I = 0; I < Counters.size(); ++I)
+    if (Totals[I] > 0 || Counters[I].Always)
+      S.Rows.push_back({MetricRow::Kind::Counter, Counters[I].Name,
+                        static_cast<double>(Totals[I])});
+  for (const auto &E : Gauges)
+    S.Rows.push_back({MetricRow::Kind::Gauge, E.Name, E.M->value()});
   for (const auto &E : Histograms) {
     MetricRow R;
     R.K = MetricRow::Kind::Histogram;

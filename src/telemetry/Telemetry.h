@@ -23,9 +23,9 @@
 /// virtual core, task, or control component.
 ///
 /// Tracing is off by default: the process-wide sink (recorder()) starts
-/// null, and every emission site goes through the PARCAE_TRACE macro,
-/// which reduces to a single pointer test when tracing is off and to
-/// nothing at all when PARCAE_DISABLE_TELEMETRY is defined. Timestamps are
+/// null, components read it once at construction, and every emission
+/// site is guarded by `if (Tel)`, a single pointer test when tracing is
+/// off (the event's arguments are not even built then). Timestamps are
 /// virtual: the recorder is bound to a sim::Simulator clock, and rebinding
 /// to a fresh simulator (one per experiment run) rebases time so multi-run
 /// traces stay monotone.
@@ -45,23 +45,6 @@
 #include <vector>
 
 namespace parcae::telemetry {
-
-/// Emits into \p Rec only when a recorder is installed; the call (and its
-/// argument expressions) is not evaluated otherwise. Compiles to nothing
-/// under PARCAE_DISABLE_TELEMETRY.
-#ifndef PARCAE_DISABLE_TELEMETRY
-#define PARCAE_TELEMETRY_ENABLED 1
-#define PARCAE_TRACE(Rec, Call)                                                \
-  do {                                                                         \
-    if (::parcae::telemetry::TraceRecorder *PtRec_ = (Rec))                    \
-      PtRec_->Call;                                                            \
-  } while (0)
-#else
-#define PARCAE_TELEMETRY_ENABLED 0
-#define PARCAE_TRACE(Rec, Call)                                                \
-  do {                                                                         \
-  } while (0)
-#endif
 
 /// One key/value argument attached to an event (number or string).
 struct TraceArg {
@@ -141,6 +124,10 @@ public:
     return Ts;
   }
 
+  /// Latest timestamp handed out so far; unlike now(), safe to call
+  /// after the bound simulator is gone.
+  sim::SimTime lastTimestamp() const { return MaxTs; }
+
   /// Stable process id for \p Name; the same name always maps to the same
   /// pid, so successive executions of one region share a track group.
   std::uint32_t processFor(const std::string &Name);
@@ -170,10 +157,6 @@ public:
   const std::vector<TraceEvent> &events() const { return Events; }
   std::size_t size() const { return Events.size(); }
   std::uint64_t dropped() const { return Dropped; }
-  void clear() {
-    Events.clear();
-    Dropped = 0;
-  }
 
   /// Named processes, in pid order (pid = index).
   const std::vector<std::string> &processes() const { return Processes; }
@@ -185,7 +168,8 @@ public:
   }
 
   /// The metrics registry riding along with this recorder: components
-  /// update counters/gauges/histograms here while tracing is on.
+  /// built while tracing is on export their counters and update gauges
+  /// and histograms here.
   MetricsRegistry &metrics() { return Metrics; }
   const MetricsRegistry &metrics() const { return Metrics; }
 

@@ -84,10 +84,7 @@ PipelineRunResult parcae::rt::runPipelineExperiment(
   };
   Gen.start();
 
-  if (Spec.HorizonSec > 0)
-    Sim.runUntil(Spec.HorizonSec * sim::Sec);
-  else
-    Sim.run();
+  Sim.run();
   if (Pdu)
     Pdu->stop();
 

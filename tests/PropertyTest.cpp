@@ -247,11 +247,22 @@ INSTANTIATE_TEST_SUITE_P(Threads, MachineConservation,
 // Inner-scalability model sanity across all lane applications
 //===----------------------------------------------------------------------===//
 
-class ScalabilityProperty
-    : public ::testing::TestWithParam<LaneAppParams (*)()> {};
+namespace {
+/// Parameter wrapper that prints as the application's name, so each
+/// instance is listed under a stable name rather than under the address of
+/// the parameter function, which changes from build to build.
+struct LaneApp {
+  LaneAppParams (*Make)();
+  friend void PrintTo(const LaneApp &A, std::ostream *OS) {
+    *OS << A.Make().Name;
+  }
+};
+} // namespace
+
+class ScalabilityProperty : public ::testing::TestWithParam<LaneApp> {};
 
 TEST_P(ScalabilityProperty, CurveIsSane) {
-  LaneAppParams P = GetParam()();
+  LaneAppParams P = GetParam().Make();
   const InnerScalability &S = P.Scal;
   EXPECT_DOUBLE_EQ(S.speedup(1), 1.0);
   for (unsigned L = 1; L <= 32; ++L) {
@@ -265,5 +276,7 @@ TEST_P(ScalabilityProperty, CurveIsSane) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, ScalabilityProperty,
-                         ::testing::Values(&x264Params, &swaptionsParams,
-                                           &bzipParams, &oilifyParams));
+                         ::testing::Values(LaneApp{&x264Params},
+                                           LaneApp{&swaptionsParams},
+                                           LaneApp{&bzipParams},
+                                           LaneApp{&oilifyParams}));

@@ -449,6 +449,42 @@ TEST(ServeLoopBatch, SloPressureClosesBatchEarly) {
   EXPECT_LT(Serve.stats(Idx).QueueWaitUs.max(), 10e3);
 }
 
+TEST(ServeLoopBatch, FormingBatchOutlivesTheArrivals) {
+  // Arrivals end while a request still waits in the forming batch: it is
+  // neither queued nor in service, so only formingDepth() shows the class
+  // has not drained yet.
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 4);
+  rt::RuntimeCosts Costs;
+  rt::PlatformDaemon Daemon(4);
+  ServeLoop Serve(M, Costs, Daemon);
+
+  RequestClassDesc D;
+  D.Name = "form";
+  D.MakeRegion = [](const ServeRequest &) {
+    return makeServiceRegion("form", 60000);
+  };
+  D.ItersPerRequest = 4;
+  D.Config = {rt::Scheme::DoAny, {2}};
+  D.Batch = {8, 20 * sim::MSec, 0.5};
+  unsigned Idx = Serve.addClass(std::move(D));
+  Serve.startArrivals(Idx, std::make_unique<PoissonArrivals>(200.0, 42));
+  while (Serve.stats(Idx).Arrived == 0)
+    Sim.runUntil(Sim.now() + 100 * sim::USec);
+  Serve.stopArrivals(Idx);
+
+  EXPECT_EQ(Serve.queueDepth(Idx), 0u);
+  EXPECT_EQ(Serve.inService(Idx), 0u);
+  EXPECT_EQ(Serve.formingDepth(Idx), 1u) << "the request is in the batch";
+
+  // The drain loop the serve bench runs: wait on all three counts.
+  while (Serve.queueDepth(Idx) || Serve.formingDepth(Idx) ||
+         Serve.inService(Idx))
+    Sim.runUntil(Sim.now() + 5 * sim::MSec);
+  EXPECT_EQ(Serve.stats(Idx).Completed, 1u);
+  EXPECT_EQ(Serve.batchStats(Idx).TimerCloses, 1u);
+}
+
 TEST(ServeLoopBatch, MembersCompleteAtIterationWatermarks) {
   sim::Simulator Sim;
   sim::Machine M(Sim, 4);

@@ -4,11 +4,21 @@
 #include "telemetry/Telemetry.h"
 
 #include "morta/Controller.h"
+#include "morta/Platform.h"
 #include "morta/RegionRunner.h"
+#include "morta/Watchdog.h"
+#include "serve/Admission.h"
+#include "serve/Arrival.h"
+#include "serve/ServeLoop.h"
 #include "sim/Machine.h"
 #include "sim/Simulator.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <map>
+#include <memory>
+#include <string>
 
 using namespace parcae;
 using namespace parcae::telemetry;
@@ -37,6 +47,21 @@ rt::FlexibleRegion makeTinyRegion() {
                          [](rt::IterationContext &C) { C.Cost = 20000; });
   Region.addVariant(std::move(Seq));
   return Region;
+}
+
+/// Value of counter row \p Name in the registry now; 0 when unlisted.
+double counterRow(const MetricsRegistry &M, const std::string &Name) {
+  for (const MetricRow &Row : M.snapshot(0).Rows)
+    if (Row.K == MetricRow::Kind::Counter && Row.Name == Name)
+      return Row.Value;
+  return 0.0;
+}
+
+/// Expects every counter row named in \p Want to hold its value.
+void expectRows(const MetricsRegistry &M,
+                const std::map<std::string, double> &Want) {
+  for (const auto &[Name, Value] : Want)
+    EXPECT_EQ(counterRow(M, Name), Value) << Name;
 }
 
 } // namespace
@@ -110,7 +135,8 @@ TEST(TraceRecorder, CapacityBoundsDropsNotGrows) {
 TEST(TraceRecorder, NullSinkRecordsNothingAndSkipsArgs) {
   TraceRecorder *Null = nullptr;
   int Evaluated = 0;
-  PARCAE_TRACE(Null, instant(0, 0, "t", (++Evaluated, std::string("e"))));
+  if (Null)
+    Null->instant(0, 0, "t", (++Evaluated, std::string("e")));
   EXPECT_EQ(Evaluated, 0); // argument expressions must not run
   EXPECT_EQ(recorder(), nullptr) << "tracing must be off by default";
 }
@@ -118,10 +144,11 @@ TEST(TraceRecorder, NullSinkRecordsNothingAndSkipsArgs) {
 TEST(Metrics, CountersGaugesHistograms) {
   MetricsRegistry M;
   EXPECT_TRUE(M.empty());
-  Counter &C = M.counter("c");
-  C.add();
-  C.add(4);
-  EXPECT_EQ(&M.counter("c"), &C) << "lookup must return the same object";
+  std::uint64_t C = 0;
+  CounterExport E;
+  E.bind(M);
+  E.add("c", C);
+  C += 5;
   M.gauge("g").set(2.5);
   Histogram &H = M.histogram("h");
   for (int I = 1; I <= 100; ++I)
@@ -144,6 +171,36 @@ TEST(Metrics, CountersGaugesHistograms) {
   EXPECT_NE(Text.find("counter c 5"), std::string::npos);
   EXPECT_NE(Text.find("gauge g"), std::string::npos);
   EXPECT_NE(Text.find("histogram h"), std::string::npos);
+}
+
+TEST(Metrics, ExportsReadLiveValuesAndFoldOnTeardown) {
+  auto M = std::make_unique<MetricsRegistry>();
+  std::uint64_t A = 0, B = 0, Zero = 0;
+  auto EA = std::make_unique<CounterExport>();
+  EA->bind(*M);
+  EA->add("n", A);
+  EA->add("zero", Zero, Listing::Always);
+  EXPECT_EQ(M->snapshot(0).Rows.size(), 1u)
+      << "a zero NonZero row stays unlisted; an Always row is listed";
+  EXPECT_EQ(counterRow(*M, "zero"), 0.0);
+
+  A = 3;
+  EXPECT_EQ(counterRow(*M, "n"), 3.0) << "snapshots read the live value";
+  {
+    CounterExport EB;
+    EB.bind(*M);
+    EB.add("n", [&B] { return B * 2; });
+    B = 2;
+    EXPECT_EQ(counterRow(*M, "n"), 7.0) << "exports of one name sum";
+  }
+  EXPECT_EQ(counterRow(*M, "n"), 7.0) << "a destroyed export's final value";
+  A = 4;
+  EXPECT_EQ(counterRow(*M, "n"), 8.0);
+
+  // A registry torn down first detaches its exports.
+  M.reset();
+  A = 5;
+  EA.reset();
 }
 
 TEST(Metrics, MachineTeardownCapturesSimQueueGauges) {
@@ -263,8 +320,181 @@ TEST(Telemetry, ControlledRunProducesValidTrace) {
   }
   EXPECT_TRUE(SawCalibrate) << "controller FSM spans missing";
   EXPECT_TRUE(SawCoreSpan) << "per-core busy spans missing";
-  EXPECT_GT(R.metrics().counter("machine.slices").value(), 0u);
+  EXPECT_GT(M.counts().Slices, 0u);
+  EXPECT_EQ(counterRow(R.metrics(), "machine.slices"),
+            static_cast<double>(M.counts().Slices));
 
   std::string Err;
   EXPECT_TRUE(validateChromeTrace(toChromeTraceJson(R), &Err)) << Err;
+}
+
+// The counters a metrics dump reports are the components' own fields:
+// a mid-run snapshot equals the live accessors, and once the components
+// are gone the rows keep the values the accessors last read.
+
+TEST(Telemetry, FaultedRunCountersHaveOneSource) {
+  TraceRecorder R;
+  ScopedRecorder Install(&R);
+  sim::Simulator Sim;
+  std::map<std::string, double> Last;
+  {
+    sim::Machine M(Sim, 8);
+    sim::FaultPlan Plan;
+    Plan.addOffline(7, 3 * sim::MSec);
+    Plan.addDomain("socket0", {5, 6}, 6 * sim::MSec,
+                   /*Downtime=*/4 * sim::MSec);
+    Plan.addTransient("work", 40, 2);
+    M.installFaultPlan(std::move(Plan));
+    rt::RuntimeCosts Costs;
+    rt::FlexibleRegion Region = makeTinyRegion();
+    rt::CountedWorkSource Work(1000000);
+    rt::RegionRunner Runner(M, Costs, Region, Work);
+    rt::RegionController Ctrl(Runner);
+    rt::Watchdog Dog(Ctrl);
+    Ctrl.start(8);
+    Dog.start();
+    auto Live = [&]() -> std::map<std::string, double> {
+      const sim::Machine::Counts &C = M.counts();
+      return {
+          {"machine.slices", C.Slices},
+          {"machine.ctx_switches", C.CtxSwitches},
+          {"machine.faults.offline", C.Offlines},
+          {"machine.faults.rescued", C.Rescued},
+          {"machine.repairs", M.repairsApplied()},
+          {"watchdog.detections", Dog.detections()},
+          {"watchdog.growths", Dog.growthsDetected()},
+          {"watchdog.recoveries", Dog.recoveriesCompleted()},
+          {"runner.tiny.reconfigs",
+           Runner.reconfigurations() - Runner.recoveries()},
+          {"runner.tiny.full_pauses", Runner.fullPauses()},
+          {"runner.tiny.recoveries", Runner.recoveries()},
+          {"exec.tiny-doany.faults",
+           static_cast<double>(Runner.totalFaults())},
+      };
+    };
+    Sim.runUntil(8 * sim::MSec);
+    expectRows(R.metrics(), Live());
+    Sim.runUntil(30 * sim::MSec);
+    Last = Live();
+    EXPECT_GT(Last["machine.faults.offline"], 0.0);
+    EXPECT_GT(Last["machine.repairs"], 0.0);
+    EXPECT_GT(Last["watchdog.detections"], 0.0);
+    EXPECT_GT(Last["exec.tiny-doany.faults"], 0.0);
+    expectRows(R.metrics(), Last);
+  }
+  expectRows(R.metrics(), Last);
+}
+
+TEST(Telemetry, BatchedServeCountersHaveOneSource) {
+  TraceRecorder R;
+  ScopedRecorder Install(&R);
+  sim::Simulator Sim;
+  std::map<std::string, double> Last;
+  {
+    sim::Machine M(Sim, 4);
+    sim::FaultPlan Plan;
+    Plan.addDomain("socket1", {2, 3}, /*At=*/30 * sim::MSec,
+                   /*Downtime=*/20 * sim::MSec, /*Warning=*/5 * sim::MSec);
+    M.installFaultPlan(std::move(Plan));
+    rt::RuntimeCosts Costs;
+    rt::PlatformDaemon Daemon(4);
+    serve::ServeLoop Serve(M, Costs, Daemon);
+    serve::RequestClassDesc D;
+    D.Name = "svc";
+    D.MakeRegion = [](const serve::ServeRequest &) {
+      rt::FlexibleRegion Region("svc");
+      rt::RegionDesc Par;
+      Par.Name = "svc-par";
+      Par.S = rt::Scheme::DoAny;
+      Par.Tasks.emplace_back(
+          "work", rt::TaskType::Par,
+          [](rt::IterationContext &C) { C.Cost = 400000; });
+      Region.addVariant(std::move(Par));
+      return Region;
+    };
+    D.ItersPerRequest = 4;
+    D.Config = {rt::Scheme::DoAny, {2}};
+    D.QueueCapacity = 6;
+    D.Policy = std::make_unique<serve::DeadlineEarlyDrop>(3 * sim::MSec);
+    D.Batch = {4, 2 * sim::MSec, 0.5};
+    unsigned Idx = Serve.addClass(std::move(D));
+    Serve.startArrivals(Idx,
+                        std::make_unique<serve::PoissonArrivals>(3000.0, 42));
+    auto Live = [&]() -> std::map<std::string, double> {
+      const serve::ServeLoop::ClassStats &S = Serve.stats(Idx);
+      return {
+          {"serve.admitted", S.Admitted},
+          {"serve.rejected", S.Rejected},
+          {"serve.shed", S.Shed},
+          {"serve.migrations", Serve.migratedBatches()},
+          {"platform.repartitions", Daemon.repartitions()},
+          {"platform.slo_transfers", Daemon.sloTransfers().size()},
+          {"machine.slices", M.counts().Slices},
+          {"machine.faults.domain_warnings", M.counts().DomainWarnings},
+      };
+    };
+    Sim.runUntil(20 * sim::MSec);
+    expectRows(R.metrics(), Live());
+    Sim.runUntil(60 * sim::MSec);
+    Serve.stopArrivals(Idx);
+    Sim.run();
+    Last = Live();
+    EXPECT_GT(Last["serve.rejected"], 0.0);
+    EXPECT_GT(Last["serve.shed"], 0.0);
+    EXPECT_GT(Last["serve.migrations"], 0.0);
+    EXPECT_GT(Serve.batchStats(Idx).requestsPerRegion(), 1.0);
+    expectRows(R.metrics(), Last);
+  }
+  expectRows(R.metrics(), Last);
+}
+
+TEST(Telemetry, RunnersOfOneRegionAddIntoOneRow) {
+  TraceRecorder R;
+  ScopedRecorder Install(&R);
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 8);
+  rt::RuntimeCosts Costs;
+  rt::FlexibleRegion Region = makeTinyRegion();
+  rt::CountedWorkSource WorkA(1000000), WorkB(1000000);
+  double Reconfigs = 0, Pauses = 0;
+  {
+    rt::RegionRunner A(M, Costs, Region, WorkA);
+    rt::RegionRunner B(M, Costs, Region, WorkB);
+    A.start({rt::Scheme::DoAny, {2}});
+    B.start({rt::Scheme::DoAny, {2}});
+    Sim.schedule(1 * sim::MSec, [&] {
+      A.reconfigure({rt::Scheme::Seq, {1}});
+      B.reconfigure({rt::Scheme::DoAny, {3}});
+    });
+    Sim.schedule(3 * sim::MSec, [&] { A.reconfigure({rt::Scheme::DoAny, {4}}); });
+    Sim.runUntil(6 * sim::MSec);
+    Reconfigs = A.reconfigurations() + B.reconfigurations();
+    Pauses = A.fullPauses() + B.fullPauses();
+    EXPECT_EQ(Reconfigs, 3.0);
+    EXPECT_GT(A.fullPauses(), 0u);
+    EXPECT_GT(B.reconfigurations(), 0u);
+    EXPECT_EQ(counterRow(R.metrics(), "runner.tiny.reconfigs"), Reconfigs);
+    EXPECT_EQ(counterRow(R.metrics(), "runner.tiny.full_pauses"), Pauses);
+  }
+  EXPECT_EQ(counterRow(R.metrics(), "runner.tiny.reconfigs"), Reconfigs);
+  EXPECT_EQ(counterRow(R.metrics(), "runner.tiny.full_pauses"), Pauses);
+}
+
+TEST(Telemetry, MetricsDumpOutlivesTheSimulator) {
+  // TraceFile writes the dump after every simulation object is gone; it
+  // must stamp the snapshot without reading the dead simulator's clock.
+  std::string Path = testing::TempDir() + "parcae_dump.trace.json";
+  {
+    TraceFile Trace(Path.c_str());
+    sim::Simulator Sim;
+    sim::Machine M(Sim, 2);
+    Sim.schedule(250 * sim::USec, [&] {
+      Trace.recorder()->instant(0, 0, "t", "last");
+    });
+    Sim.run();
+  }
+  std::ifstream In(Path + ".metrics.txt");
+  std::string Header;
+  ASSERT_TRUE(std::getline(In, Header));
+  EXPECT_EQ(Header, "# metrics at t=0.000250 s");
 }
