@@ -3,9 +3,8 @@
 # machine-readable summaries:
 #   BENCH_simcore.json    events/sec + allocs/event of the discrete-event
 #                         core vs the legacy std::function implementation,
-#                         plus the wheel-vs-heap queue-tier A/B across
-#                         short / far / mixed delay distributions and the
-#                         tier-hit counters of the mixed wheel run
+#                         plus the ring/heap tier-hit counters of the
+#                         current core's run
 #   BENCH_overheads.json  per-iteration Morta/Decima + channel overhead at
 #                         pinned chunk sizes K = 1 / 8 / 32
 #   BENCH_serve.json      per-phase goodput/p95/shedding of the two-class

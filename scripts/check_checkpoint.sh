@@ -142,7 +142,7 @@ if [ "$MODE" = serve ] || [ "$MODE" = all ]; then
 
   SMETRICS="$STRACE.metrics.txt"
   need_file "$SMETRICS" "serve metrics dump"
-  need "$SMETRICS" 'serve\.migrations' "no migration counter"
+  need "$SMETRICS" 'serve\.migrated_batches' "no migration counter"
   need "$SMETRICS" 'serve\.drain_latency_us' \
     "no serve drain-latency histogram"
 fi

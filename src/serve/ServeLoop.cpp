@@ -92,7 +92,7 @@ ServeLoop::ServeLoop(sim::Machine &M, const rt::RuntimeCosts &Costs,
     Counters.add("serve.admitted", Total(&ClassStats::Admitted), Always);
     Counters.add("serve.rejected", Total(&ClassStats::Rejected), Always);
     Counters.add("serve.shed", Total(&ClassStats::Shed), Always);
-    Counters.add("serve.migrations", MigratedBatches, Always);
+    Counters.add("serve.migrated_batches", MigratedBatches, Always);
   }
   // Proactively migrate in-flight request regions off a failure domain
   // when the machine announces it ahead of time. The listener outlives

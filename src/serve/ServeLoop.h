@@ -155,7 +155,7 @@ public:
 
   /// Member requests of the batches migrated off a doomed domain.
   std::uint64_t migrations() const { return Migrations; }
-  /// In-flight batches (regions) migrated; serve.migrations counts these.
+  /// In-flight batches (regions) migrated; the serve.migrated_batches row.
   std::uint64_t migratedBatches() const { return MigratedBatches; }
   /// Warning drains completed (all in-flight requests checkpointed,
   /// doomed cores offlined, everything resumed on the survivors).

@@ -11,106 +11,52 @@ using namespace parcae::sim;
 void Simulator::reserve(std::size_t Events) {
   Heap.reserve(Events);
   Ring.reserve(Events);
-  Drain.reserve(Events);
   std::size_t Chunks = (Events + ChunkMask) >> ChunkShift;
   Pool.reserve(Chunks);
   while (Pool.size() < Chunks)
     Pool.push_back(std::make_unique<EventFn[]>(ChunkMask + 1));
-  Wheel.reserveNodes(Chunks << ChunkShift);
 }
 
 bool Simulator::popDueNow(std::uint32_t &OutSlot) {
-  // Merge the three tier fronts at the current instant by seq. The ring
-  // front is checked last so a tie (impossible: seqs are unique) or an
-  // empty tier costs one predictable branch each.
-  int Src = -1;
-  std::uint32_t Best = 0;
-  if (DrainHead < Drain.size()) {
-    Src = 0;
-    Best = Drain[DrainHead].Seq;
-  }
-  if (!Heap.empty() && Heap.front().At == Now &&
-      (Src < 0 || seqAfter(Best, Heap.front().Seq))) {
-    Src = 1;
-    Best = Heap.front().Seq;
-  }
-  if (RingHead < Ring.size() &&
-      (Src < 0 || seqAfter(Best, Ring[RingHead].Seq))) {
-    Src = 2;
-  }
-  switch (Src) {
-  case 0: // drained wheel bucket
-    OutSlot = Drain[DrainHead].Slot;
-    if (++DrainHead == Drain.size()) {
-      Drain.clear();
-      DrainHead = 0;
-    }
-    ++WheelHits;
-    return true;
-  case 1: // equal-time heap entry
+  // Merge the ring front with an equal-time heap top by seq.
+  bool HeapDue = !Heap.empty() && Heap.front().At == Now;
+  bool RingDue = RingHead < Ring.size();
+  if (HeapDue && (!RingDue || seqAfter(Ring[RingHead].Seq, Heap.front().Seq))) {
     std::pop_heap(Heap.begin(), Heap.end(), Later{});
     OutSlot = Heap.back().Slot;
     Heap.pop_back();
     ++HeapHits;
     return true;
-  case 2: // due-now ring
-    OutSlot = Ring[RingHead].Slot;
-    if (++RingHead == Ring.size()) {
-      Ring.clear();
-      RingHead = 0;
-    }
-    ++RingHits;
-    return true;
-  default:
-    return false;
   }
+  if (!RingDue)
+    return false;
+  OutSlot = Ring[RingHead].Slot;
+  if (++RingHead == Ring.size()) {
+    Ring.clear();
+    RingHead = 0;
+  }
+  ++RingHits;
+  return true;
 }
 
 bool Simulator::advanceClock() {
-  assert(RingHead == Ring.size() && DrainHead == Drain.size() &&
-         "clock advanced with due-now work pending");
-  bool HaveWheel = WheelOn && !Wheel.empty();
-  SimTime Tw = HaveWheel ? Wheel.nextTime(Now) : 0;
-  if (Heap.empty() && !HaveWheel)
+  assert(RingHead == Ring.size() && "clock advanced with due-now work pending");
+  if (Heap.empty())
     return false;
-  SimTime T =
-      HaveWheel && (Heap.empty() || Tw <= Heap.front().At) ? Tw
-                                                           : Heap.front().At;
-  assert(T > Now && "event queue went backwards");
-  Now = T;
-  if (HaveWheel && Tw == T)
-    Wheel.popBucket(T, Drain); // seq-sorted; DrainHead is already 0
-  // Far-horizon events whose epoch the wheel window now covers migrate
-  // out of the heap; entries due exactly at Now stay put and merge with
-  // the drained bucket in popDueNow, preserving (time, seq) order.
-  if (WheelOn)
-    while (!Heap.empty() && Wheel.accepts(Heap.front().At, Now)) {
-      std::pop_heap(Heap.begin(), Heap.end(), Later{});
-      Scheduled E = Heap.back();
-      Heap.pop_back();
-      Wheel.insert(E.At, E.Seq, E.Slot);
-      ++SpillMigrations;
-    }
+  assert(Heap.front().At > Now && "event queue went backwards");
+  Now = Heap.front().At;
   return true;
 }
 
 bool Simulator::nextPendingTime(SimTime &T) const {
-  if (RingHead < Ring.size() || DrainHead < Drain.size()) {
+  if (RingHead < Ring.size()) {
     T = Now;
     return true;
   }
-  bool Any = false;
-  if (!Heap.empty()) {
-    T = Heap.front().At;
-    Any = true;
-  }
-  if (WheelOn && !Wheel.empty()) {
-    SimTime Tw = Wheel.nextTime(Now);
-    if (!Any || Tw < T)
-      T = Tw;
-    Any = true;
-  }
-  return Any;
+  if (Heap.empty())
+    return false;
+  T = Heap.front().At;
+  return true;
 }
 
 bool Simulator::runOne() {
@@ -149,13 +95,9 @@ void Simulator::diagnoseLivelock() const {
                "re-scheduling itself with zero delay\n",
                SameTimeCount, static_cast<std::uint64_t>(Now),
                EventsProcessed);
-  std::fprintf(stderr,
-               "  queue: ring=%zu drain=%zu wheel=%zu heap=%zu pending "
-               "(span %zu, mode %s)\n",
-               Ring.size() - RingHead, Drain.size() - DrainHead, Wheel.size(),
-               Heap.size(), Wheel.span(),
-               WheelOn ? "wheel" : "heap-only");
-  // The next few (time, seq) pairs across every tier, globally ordered:
+  std::fprintf(stderr, "  queue: ring=%zu heap=%zu pending\n",
+               Ring.size() - RingHead, Heap.size());
+  // The next few (time, seq) pairs across both tiers, globally ordered:
   // a same-time spin shows up as a run of equal timestamps with climbing
   // seqs, naming exactly which schedules keep the clock pinned.
   struct P {
@@ -165,20 +107,11 @@ void Simulator::diagnoseLivelock() const {
   std::vector<P> Pend;
   for (std::size_t I = RingHead; I < Ring.size() && Pend.size() < 8; ++I)
     Pend.push_back(P{Now, Ring[I].Seq});
-  for (std::size_t I = DrainHead; I < Drain.size() && Pend.size() < 16; ++I)
-    Pend.push_back(P{Now, Drain[I].Seq});
   std::vector<Scheduled> H = Heap;
   for (int I = 0; I < 8 && !H.empty(); ++I) {
     std::pop_heap(H.begin(), H.end(), Later{});
     Pend.push_back(P{H.back().At, H.back().Seq});
     H.pop_back();
-  }
-  if (WheelOn && !Wheel.empty()) {
-    std::vector<TimingWheel::Entry> Bucket;
-    SimTime Tw = Wheel.nextTime(Now);
-    Wheel.collectBucket(Tw, Bucket);
-    for (const TimingWheel::Entry &E : Bucket)
-      Pend.push_back(P{Tw, E.Seq});
   }
   std::sort(Pend.begin(), Pend.end(), [](const P &A, const P &B) {
     if (A.At != B.At)
@@ -205,6 +138,9 @@ void Simulator::runUntil(SimTime Deadline) {
   SimTime T = 0;
   while (!Stopped && nextPendingTime(T) && T <= Deadline)
     runOne();
-  if (Now < Deadline)
+  // Pin the clock only when nothing is due by the deadline: after stop()
+  // events may still be queued before it, and jumping past them would
+  // make a later run() move time backwards.
+  if (!Stopped && Now < Deadline)
     Now = Deadline;
 }

@@ -10,31 +10,25 @@
 /// timers) is driven by events scheduled here. Events at the same virtual
 /// time fire in schedule order, so whole-system runs are deterministic.
 ///
-/// The queue is three-tiered, earliest tier first:
+/// The queue has two tiers:
 ///
 ///  * a due-now FIFO **ring** for zero-delay events (wakeups, overlapped
 ///    resumes) — FIFO equals (time, seq) order because every ring entry
 ///    is due at Now and the clock cannot advance while the ring is
 ///    non-empty;
-///  * a calendar **wheel** (TimingWheel.h) for the near-future horizon,
-///    where most machine slices land: O(1) amortized insert and pop
-///    instead of an O(log n) heap sift;
 ///  * a binary **heap** of trivially copyable {time, seq, slot} entries
-///    for the far horizon. As the clock advances into their epoch, heap
-///    entries migrate into the wheel.
+///    for every future event.
 ///
-/// All three tiers carry the same wrapping 32-bit schedule seq, and every
-/// pop merges the tier fronts by (time, seq), so the tier an event landed
-/// in is invisible to replay: runs are bit-for-bit identical whether the
-/// wheel is enabled (QueueMode::Wheel, the default) or not
-/// (QueueMode::HeapOnly, kept for A/B measurement).
+/// Both tiers carry the same wrapping 32-bit schedule seq, and every pop
+/// merges the ring front with an equal-time heap top by seq, so the tier
+/// an event landed in is invisible to replay: same-instant events fire
+/// in schedule order whichever tier held them.
 ///
 /// The core is allocation-free in steady state: callbacks are held in
 /// small-buffer EventFn cells inside a chunked slab whose addresses are
-/// stable (so a handler runs in place while scheduling more events), the
-/// heap is a reused vector, and wheel buckets are intrusive lists through
-/// a slot-indexed side array. Whole-system runs execute millions of
-/// events, so this is the hottest host-side path.
+/// stable (so a handler runs in place while scheduling more events), and
+/// the ring and heap are reused vectors. Whole-system runs execute
+/// millions of events, so this is the hottest host-side path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +37,6 @@
 
 #include "sim/EventFn.h"
 #include "sim/Time.h"
-#include "sim/TimingWheel.h"
 
 #include <algorithm>
 #include <cassert>
@@ -55,26 +48,16 @@
 
 namespace parcae::sim {
 
-/// Discrete-event simulator: a clock plus a three-tier ordered queue.
+/// Discrete-event simulator: a clock plus a two-tier ordered queue.
 class Simulator {
 public:
-  /// Which time-ordered tiers back the queue. Event *order* is identical
-  /// in both modes (the acceptance gate for the wheel); the mode only
-  /// selects the data structure, so benches can A/B them.
-  enum class QueueMode { HeapOnly, Wheel };
-
-  /// Cheap per-tier counters plus current occupancy, for perf analysis
-  /// and the telemetry metrics registry (sim.queue.* gauges).
+  /// Cheap per-tier dispatch counters, for perf analysis and the
+  /// telemetry metrics registry (sim.queue.* gauges).
   struct QueueStats {
-    std::uint64_t RingHits = 0;   ///< events dispatched from the ring
-    std::uint64_t WheelHits = 0;  ///< events dispatched from the wheel
-    std::uint64_t HeapHits = 0;   ///< events dispatched from the heap
-    std::uint64_t SpillMigrations = 0; ///< heap -> wheel epoch migrations
-    std::uint64_t MaxBucketDepth = 0;  ///< deepest wheel bucket drained
-    std::size_t RingPending = 0;
-    std::size_t WheelPending = 0;
-    std::size_t HeapPending = 0;
-    std::size_t WheelSpan = 0; ///< horizon width in cycles (0: heap-only)
+    std::uint64_t RingHits = 0; ///< events dispatched from the ring
+    std::uint64_t HeapHits = 0; ///< events dispatched from the heap
+    /// Always 0 (there is no wheel tier); still read by wsbench/Bench.h.
+    static constexpr std::uint64_t WheelHits = 0;
   };
 
   /// Current virtual time.
@@ -96,16 +79,12 @@ public:
     slot(S).assign(std::forward<F>(Fn));
     std::uint32_t Seq = NextSeq++;
     if (At == Now) {
-      // Due-now fast path: wakeups, wheel kicks, and overlapped resumes
-      // fire at the current instant; they go through a FIFO ring instead
-      // of the heap. FIFO equals (time, seq) order here because every
-      // ring entry has At == Now, and the clock cannot advance while the
-      // ring is non-empty (runOne drains due-now work first).
+      // Due-now fast path: wakeups and overlapped resumes fire at the
+      // current instant; they go through a FIFO ring instead of the
+      // heap. FIFO equals (time, seq) order here because every ring
+      // entry has At == Now, and the clock cannot advance while the ring
+      // is non-empty (runOne drains due-now work first).
       Ring.push_back(DueNow{Seq, S});
-      return;
-    }
-    if (WheelOn && Wheel.accepts(At, Now)) {
-      Wheel.insert(At, Seq, S);
       return;
     }
     Heap.push_back(Scheduled{At, Seq, S});
@@ -119,52 +98,29 @@ public:
   void run();
 
   /// Runs events with timestamps <= \p Deadline; leaves later events queued
-  /// and advances the clock to \p Deadline.
+  /// and advances the clock to \p Deadline — unless stop() ended the run
+  /// early, in which case the clock stays at the stopping event's time so
+  /// the events still queued before the deadline fire on time later.
   void runUntil(SimTime Deadline);
 
-  /// Makes run() return after the current event.
+  /// Makes run() or runUntil() return after the current event.
   void stop() { Stopped = true; }
 
   /// Total number of events executed (sanity metric for tests).
   std::uint64_t eventsProcessed() const { return EventsProcessed; }
 
-  bool empty() const {
-    return Heap.empty() && RingHead == Ring.size() &&
-           DrainHead == Drain.size() && Wheel.empty();
-  }
+  bool empty() const { return Heap.empty() && RingHead == Ring.size(); }
 
-  /// Pre-sizes every tier — heap, due-now ring, wheel drain buffer and
-  /// node array — and the callback slab (steady state then never
-  /// allocates as long as at most \p Events are outstanding at once).
+  /// Pre-sizes the heap, the due-now ring and the callback slab (steady
+  /// state then never allocates as long as at most \p Events are
+  /// outstanding at once).
   void reserve(std::size_t Events);
 
-  /// Selects the queue backing (wheel by default). Only legal while the
-  /// queue is empty; the event order is mode-invariant either way.
-  void setQueueMode(QueueMode M) {
-    assert(empty() && "cannot switch queue mode with events pending");
-    Mode = M;
-    WheelOn = M == QueueMode::Wheel;
-  }
-
-  /// Re-sizes the wheel horizon (power of two in [16, 2^20] cycles).
-  /// Only legal while the queue is empty.
-  void setWheelSpan(std::size_t Buckets) {
-    assert(empty() && "cannot re-size the wheel with events pending");
-    Wheel.configure(Buckets);
-  }
-
-  /// Tier counters and occupancy (see QueueStats).
+  /// Tier dispatch counters (see QueueStats).
   QueueStats queueStats() const {
     QueueStats S;
     S.RingHits = RingHits;
-    S.WheelHits = WheelHits;
     S.HeapHits = HeapHits;
-    S.SpillMigrations = SpillMigrations;
-    S.MaxBucketDepth = Wheel.maxDepth();
-    S.RingPending = Ring.size() - RingHead;
-    S.WheelPending = Wheel.size() + (Drain.size() - DrainHead);
-    S.HeapPending = Heap.size();
-    S.WheelSpan = WheelOn ? Wheel.span() : 0;
     return S;
   }
 
@@ -214,15 +170,14 @@ private:
     }
   };
 
-  /// Pops the earliest event due exactly at Now across the three tier
-  /// fronts (drained wheel bucket / equal-time heap top / ring), merged
-  /// by seq. Returns false when nothing is due at the current instant.
+  /// Pops the earliest event due exactly at Now: the ring front or an
+  /// equal-time heap top, whichever was scheduled first. Returns false
+  /// when nothing is due at the current instant.
   bool popDueNow(std::uint32_t &OutSlot);
-  /// Advances the clock to the earliest pending timestamp, drains that
-  /// wheel bucket into the merge buffer, and migrates heap entries whose
-  /// epoch the horizon now covers. False when the queue is empty.
+  /// Advances the clock to the heap's earliest timestamp. Requires an
+  /// empty ring; false when the queue is empty.
   bool advanceClock();
-  /// Earliest pending timestamp across all tiers (false: queue empty).
+  /// Earliest pending timestamp across both tiers (false: queue empty).
   bool nextPendingTime(SimTime &T) const;
 
   // Callback slab: fixed-size chunks, so slot addresses stay stable while
@@ -259,24 +214,14 @@ private:
   std::uint32_t NextSeq = 0;
   std::uint64_t EventsProcessed = 0;
   bool Stopped = false;
-  QueueMode Mode = QueueMode::Wheel;
-  bool WheelOn = true;
   std::vector<Scheduled> Heap;
   /// FIFO of events due at the current instant; drained before the clock
-  /// may advance (interleaved with equal-time wheel/heap events by Seq).
+  /// may advance (interleaved with equal-time heap events by Seq).
   std::vector<DueNow> Ring;
   std::size_t RingHead = 0;
-  /// Near-future calendar tier; see TimingWheel.h.
-  TimingWheel Wheel;
-  /// The bucket due at Now, already seq-sorted, being merged out. Reused
-  /// storage, same head-cursor discipline as the ring.
-  std::vector<TimingWheel::Entry> Drain;
-  std::size_t DrainHead = 0;
   // Tier dispatch counters (see queueStats()).
   std::uint64_t RingHits = 0;
-  std::uint64_t WheelHits = 0;
   std::uint64_t HeapHits = 0;
-  std::uint64_t SpillMigrations = 0;
   std::vector<std::unique_ptr<EventFn[]>> Pool;
   std::size_t PoolSize = 0;
   std::uint32_t FreeHead = NoSlot;

@@ -36,13 +36,7 @@ void TraceRecorder::nameThread(std::uint32_t Pid, std::uint32_t Tid,
 void TraceRecorder::captureSimQueueMetrics(const sim::Simulator &Sim) {
   sim::Simulator::QueueStats S = Sim.queueStats();
   Metrics.gauge("sim.queue.ring_hits").set(static_cast<double>(S.RingHits));
-  Metrics.gauge("sim.queue.wheel_hits").set(static_cast<double>(S.WheelHits));
   Metrics.gauge("sim.queue.heap_hits").set(static_cast<double>(S.HeapHits));
-  Metrics.gauge("sim.queue.spill_migrations")
-      .set(static_cast<double>(S.SpillMigrations));
-  Metrics.gauge("sim.queue.max_bucket_depth")
-      .set(static_cast<double>(S.MaxBucketDepth));
-  Metrics.gauge("sim.queue.wheel_span").set(static_cast<double>(S.WheelSpan));
 }
 
 void TraceRecorder::record(Phase Ph, std::uint32_t Pid, std::uint32_t Tid,
