@@ -1,0 +1,45 @@
+#!/usr/bin/env bash
+# check_golden.sh — the paper-figure benches still print their golden
+# output.
+#
+# Runs every bench_fig* plus bench_table8_5_throughput at its default seed
+# and compares its stdout byte for byte with bench/golden/<bench>.txt. At
+# a fixed seed the output is deterministic, so any difference is a change
+# in simulated behaviour: regenerate a golden file only for a change that
+# means to move the numbers, and say so in CHANGES.md.
+#
+# Not covered: bench_table8_6_nona (its dualpipe controller run does not
+# terminate, see ROADMAP) and bench_overheads (it prints host wall-clock
+# rows). Prints each bench's host wall-clock time.
+#
+# Usage: check_golden.sh <bench-binary-dir> [workdir]
+
+set -euo pipefail
+
+BENCHDIR=${1:?usage: check_golden.sh <bench-binary-dir> [workdir]}
+WORKDIR=${2:-$(mktemp -d)}
+NAME=check_golden.sh
+PREFIX=golden
+. "$(dirname "$0")/lib.sh"
+GOLDEN="$(cd "$(dirname "$0")/../bench/golden" && pwd)"
+
+BENCHES="bench_fig2_4_motivation bench_fig8_1_transcode bench_fig8_2_swaptions
+  bench_fig8_3_compress bench_fig8_4_oilify bench_fig8_5_ferret
+  bench_fig8_6_tbf_timeline bench_fig8_7_tpc_power bench_fig8_8_controller
+  bench_fig8_9_platform bench_table8_5_throughput"
+
+for B in $BENCHES; do
+  need_file "$GOLDEN/$B.txt" "golden stdout of $B"
+  OUT="$WORKDIR/$PREFIX.$B.out"
+  START=$(date +%s%N)
+  (cd "$WORKDIR" && "$BENCHDIR/$B" >"$OUT" 2>"$WORKDIR/$PREFIX.$B.err") ||
+    fail "$B exited non-zero (see $WORKDIR/$PREFIX.$B.err)"
+  END=$(date +%s%N)
+  if ! cmp -s "$GOLDEN/$B.txt" "$OUT"; then
+    diff "$GOLDEN/$B.txt" "$OUT" | head -20 >&2 || true
+    fail "$B stdout differs from bench/golden/$B.txt"
+  fi
+  MS=$(((END - START) / 1000000))
+  printf '%-28s %d.%03d s\n' "$B" $((MS / 1000)) $((MS % 1000))
+done
+echo "check_golden.sh: OK (stdout of every bench matches bench/golden)"

@@ -47,7 +47,8 @@ Machine::Machine(Simulator &Sim, unsigned NumCores, MachineConfig Cfg)
     CoreRateMetric->set(1.0);
     TelCoreSpan.assign(NumCores, nullptr);
     Counters.bind(Tel->metrics());
-    Counters.add("machine.slices", Cnt.Slices, telemetry::Listing::Always);
+    Counters.add("machine.slices", [this] { return counts().Slices; },
+                 telemetry::Listing::Always);
     Counters.add("machine.ctx_switches", Cnt.CtxSwitches,
                  telemetry::Listing::Always);
     Counters.add("machine.cores_penalized", Cnt.CoresPenalized);
@@ -68,6 +69,8 @@ Machine::~Machine() {
   // recorder outlives both.
   if (Tel)
     Tel->captureSimQueueMetrics(Sim);
+  if (!Chains.empty())
+    Sim.removeWatch(this);
 }
 
 SimThread *Machine::spawn(std::string Name, std::unique_ptr<ThreadBody> Body) {
@@ -93,8 +96,13 @@ SimTime Machine::busyCoreTime() const {
 void Machine::setBusyCount(unsigned N) {
   busyCoreTime(); // settle the integral at the old count
   BusyCount = N;
-  if (OnBusyCountChange)
-    OnBusyCountChange(N);
+}
+
+Machine::Counts Machine::counts() const {
+  Counts C = Cnt;
+  for (unsigned I : Chains)
+    C.Slices += phantomsPassed(Cores[I]);
+  return C;
 }
 
 void Machine::wake(SimThread *T) {
@@ -116,6 +124,12 @@ void Machine::dispatch() {
     tryAssign();
   } while (DispatchPending);
   InDispatch = false;
+  // A runnable thread left without a core, a gang left waiting, or
+  // capacity overcommitted by gang helpers makes the next boundary of
+  // every coalesced slice a real scheduling decision.
+  if (!Chains.empty() && (!ReadyQueue.empty() || GangAvail.hasWaiters() ||
+                          BusyCount > OnlineCount))
+    splitAllChains();
   // The busy count is sampled here, once it has settled: the transient
   // dip-and-recover of an end-slice/start-slice pair at one timestamp
   // would otherwise flood the trace with a counter event per quantum.
@@ -295,6 +309,21 @@ void Machine::startSlice(unsigned CoreIdx, SimThread *T) {
       Dilation > 1.0
           ? static_cast<SimTime>(static_cast<double>(SliceLen) * Dilation)
           : SliceLen;
+  // Quantum coalescing: when no boundary inside the burst could change
+  // anything, the whole burst (up to the next straggler-window edge) is
+  // one slice whose inner quantum boundaries are phantoms.
+  bool Chain = false;
+  if (Dilation == 1.0 && T->RemainingBurst > Cfg.Quantum &&
+      coalescible(CoreIdx, T)) {
+    SimTime Work = T->RemainingBurst;
+    if (Plan)
+      if (SimTime Boundary = Plan->nextDilationBoundary(CoreIdx, WorkStart))
+        Work = std::min(Work, std::max<SimTime>(Boundary - WorkStart, 1));
+    if (Work > Cfg.Quantum) {
+      Chain = true;
+      SliceLen = Wall = Work;
+    }
+  }
   C.SliceAt = Sim.now();
   C.SliceOverhead = Overhead;
   C.SliceWork = SliceLen;
@@ -318,9 +347,181 @@ void Machine::startSlice(unsigned CoreIdx, SimThread *T) {
       TelCoreSpan[CoreIdx] = T;
     }
   }
-  Sim.schedule(Overhead + Wall, [this, CoreIdx, T, SliceLen, Epoch] {
-    endSlice(CoreIdx, T, SliceLen, Epoch);
+  if (Chain)
+    armChain(CoreIdx, T, Overhead, Epoch);
+  else
+    Sim.schedule(Overhead + Wall, [this, CoreIdx, T, SliceLen, Epoch] {
+      endSlice(CoreIdx, T, SliceLen, Epoch);
+    });
+}
+
+bool Machine::coalescible(unsigned CoreIdx, SimThread *T) const {
+  // At every boundary the thread must re-take this core at no cost:
+  // nobody else runnable, no gang waiting to be notified, capacity for it
+  // after the end-of-slice dip, a rate sample that leaves the EWMA at
+  // exactly 1.0 with no penalty transition, and no other free core the
+  // affinity rule would move it to.
+  const Core &C = Cores[CoreIdx];
+  if (!ReadyQueue.empty() || GangAvail.hasWaiters() ||
+      BusyCount > OnlineCount || C.Rate != 1.0 || C.PenalizedMark)
+    return false;
+  for (unsigned I = 0; I < Cores.size(); ++I)
+    if (I != CoreIdx && !Cores[I].Running && !Cores[I].Offline &&
+        Cores[I].LastThread == T)
+      return false;
+  return true;
+}
+
+template <typename F>
+void Machine::scheduleAs(const Moment &M, SimTime At, F &&Fn) {
+  const Moment *Saved = ArmingAs;
+  ArmingAs = &M;
+  if (At == Sim.now())
+    Sim.scheduleNowAsArmedEarlier(std::forward<F>(Fn));
+  else
+    Sim.scheduleAt(At, std::forward<F>(Fn));
+  ArmingAs = Saved;
+}
+
+void Machine::armChain(unsigned CoreIdx, SimThread *T, SimTime Overhead,
+                       std::uint64_t Epoch) {
+  Core &C = Cores[CoreIdx];
+  SimTime Work = C.SliceWork;
+  C.ChainStart = C.SliceAt + Overhead;
+  C.ChainEnd = C.ChainStart + Work;
+  // Rank among phantoms sharing an instant. Phantoms at one instant fire
+  // after the events armed at earlier instants and before zero-delay
+  // ones, each ordered by its previous boundary. So at its first phantom
+  // instant F, a chain armed before F - Quantum's phantoms fired (across
+  // a switch cost, or from an event armed earlier) orders before every
+  // older chain, and one armed after them orders behind every older
+  // chain; chains that share F keep their arming order.
+  bool Early = Overhead > 0 || Sim.currentArmedEarlier();
+  SimTime First = C.ChainStart + Cfg.Quantum;
+  constexpr std::uint64_t Mid = std::uint64_t{1} << 62;
+  C.RankHi = Early ? Mid - 1 - First : Mid + First;
+  C.RankLo = ++ChainsArmed;
+  C.ArmedClass = Sim.currentArmedEarlier() ? 0 : 2;
+  Moment End = endMoment(C);
+  scheduleAs(End, C.ChainEnd, [this, CoreIdx, T, Work, Epoch] {
+    endSlice(CoreIdx, T, Work, Epoch);
   });
+  C.Coalesced = true;
+  if (Chains.empty())
+    Sim.addWatch(this);
+  Chains.push_back(CoreIdx);
+  // Final slice events of other chains that land on one of this chain's
+  // boundaries, but would have been armed after that boundary's own
+  // slice event, must fire after it: split those chains so their final
+  // event is re-armed in order.
+  std::vector<unsigned> Late;
+  for (unsigned I : Chains) {
+    const Core &D = Cores[I];
+    if (I == CoreIdx || D.ChainEnd < First || D.ChainEnd >= C.ChainEnd ||
+        (D.ChainEnd - C.ChainStart) % Cfg.Quantum != 0)
+      continue;
+    if (armMoment(C, (D.ChainEnd - C.ChainStart) / Cfg.Quantum) <
+        endMoment(D))
+      Late.push_back(I);
+  }
+  if (!Late.empty())
+    splitChains(std::move(Late));
+}
+
+std::uint64_t Machine::phantomsPassed(const Core &C) const {
+  // A phantom at the current instant has fired unless the running event
+  // was armed at an earlier instant (those run before it).
+  SimTime Now = Sim.now();
+  if (Now < C.ChainStart + Cfg.Quantum)
+    return 0;
+  std::uint64_t J = (Now - C.ChainStart) / Cfg.Quantum;
+  if (phantomAt(C, J) == Now && Sim.currentArmedEarlier())
+    --J;
+  return std::min(J, phantomCount(C));
+}
+
+Machine::Moment Machine::nowMoment() const {
+  return Moment{Sim.now(), Sim.currentArmedEarlier() ? 0u : 2u,
+                ~std::uint64_t{0}, 0};
+}
+
+void Machine::beforeSchedule(SimTime At) {
+  // An event landing on a phantom boundary that it would have followed
+  // (it is armed after the boundary's own slice event was), or on a
+  // chain's final instant that it would have preceded, needs the
+  // per-quantum slice event there: split the chain.
+  Moment Mv = ArmingAs ? *ArmingAs : nowMoment();
+  std::vector<unsigned> Hit;
+  for (unsigned I : Chains) {
+    const Core &C = Cores[I];
+    if (At > C.ChainEnd || At < C.ChainStart + Cfg.Quantum)
+      continue;
+    bool Split =
+        At == C.ChainEnd
+            ? Mv < endMoment(C)
+            : (At - C.ChainStart) % Cfg.Quantum == 0 &&
+                  armMoment(C, (At - C.ChainStart) / Cfg.Quantum) < Mv;
+    if (Split)
+      Hit.push_back(I);
+  }
+  if (!Hit.empty())
+    splitChains(std::move(Hit));
+}
+
+void Machine::splitChains(std::vector<unsigned> Picked) {
+  struct Cut {
+    unsigned Core;
+    std::uint64_t J; ///< next unfired boundary (past the last: none)
+  };
+  auto Next = [&](unsigned I) { return phantomsPassed(Cores[I]) + 1; };
+  // Chains whose next boundary coincides with a picked chain's split
+  // with it, so every slice event at that instant is re-armed in rank
+  // order.
+  std::vector<SimTime> Instants;
+  for (unsigned I : Picked)
+    if (Next(I) <= phantomCount(Cores[I]))
+      Instants.push_back(phantomAt(Cores[I], Next(I)));
+  std::vector<Cut> Cuts;
+  for (unsigned I : Chains) {
+    std::uint64_t J = Next(I);
+    bool Pick =
+        std::find(Picked.begin(), Picked.end(), I) != Picked.end() ||
+        (J <= phantomCount(Cores[I]) &&
+         std::find(Instants.begin(), Instants.end(),
+                   phantomAt(Cores[I], J)) != Instants.end());
+    if (Pick)
+      Cuts.push_back(Cut{I, J});
+  }
+  for (const Cut &X : Cuts) {
+    Cnt.Slices += X.J - 1; // the quanta begun at fired phantoms
+    unchain(X.Core);
+  }
+  std::sort(Cuts.begin(), Cuts.end(), [&](const Cut &A, const Cut &B) {
+    const Core &CA = Cores[A.Core], &CB = Cores[B.Core];
+    return CA.RankHi != CB.RankHi ? CA.RankHi < CB.RankHi
+                                  : CA.RankLo < CB.RankLo;
+  });
+  for (const Cut &X : Cuts) {
+    Core &C = Cores[X.Core];
+    if (X.J > phantomCount(C))
+      continue; // only the final slice remains; its event stays armed
+    SimTime At = phantomAt(C, X.J);
+    SimTime Work = At - C.ChainStart;
+    C.SliceWork = Work;
+    std::uint64_t Epoch = ++C.Epoch; // cancels the chain's final event
+    SimThread *T = C.Running;
+    Moment M = armMoment(C, X.J);
+    scheduleAs(M, At, [this, I = X.Core, T, Work, Epoch] {
+      endSlice(I, T, Work, Epoch);
+    });
+  }
+}
+
+void Machine::unchain(unsigned CoreIdx) {
+  Cores[CoreIdx].Coalesced = false;
+  Chains.erase(std::find(Chains.begin(), Chains.end(), CoreIdx));
+  if (Chains.empty())
+    Sim.removeWatch(this);
 }
 
 /// Reserves Gang-1 helper cores and arms the burst, or blocks the thread
@@ -345,8 +546,12 @@ void Machine::endSlice(unsigned CoreIdx, SimThread *T, SimTime SliceLen,
                        std::uint64_t Epoch) {
   Core &C = Cores[CoreIdx];
   if (C.Epoch != Epoch)
-    return; // slice cancelled: its thread was stranded or terminated
+    return; // slice cancelled: stranded, terminated, or a split chain
   assert(C.Running == T && "slice ended on wrong core");
+  if (C.Coalesced) {
+    Cnt.Slices += phantomCount(C);
+    unchain(CoreIdx);
+  }
   noteSliceRate(CoreIdx);
   C.Running = nullptr;
   C.LastThread = T;
@@ -518,6 +723,10 @@ void Machine::offlineCore(unsigned CoreIdx) {
   --OnlineCount;
   LastOfflineAt = Sim.now();
   if (SimThread *T = C.Running) {
+    if (C.Coalesced) {
+      Cnt.Slices += phantomsPassed(C);
+      unchain(CoreIdx);
+    }
     // Credit the work the interrupted slice completed before the failure;
     // the rest of the burst resumes after rescue.
     SimTime Ran = Sim.now() - C.SliceAt;
@@ -539,6 +748,9 @@ void Machine::offlineCore(unsigned CoreIdx) {
     // completes on rescue.
     setBusyCount(BusyCount - 1);
   }
+  // Less capacity can leave a coalesced slice's thread without a core at
+  // its next boundary.
+  splitAllChains();
   ++Cnt.Offlines;
   if (Tel) {
     Tel->instant(TelPid, CoreIdx, "machine", "fault_offline",
@@ -574,6 +786,8 @@ void Machine::onlineCore(unsigned CoreIdx) {
   ++OnlineCount;
   ++RepairedCount;
   LastOnlineAt = Sim.now();
+  // The repaired core may be where affinity moves a running thread next.
+  splitAllChains();
   if (Tel) {
     Tel->instant(TelPid, CoreIdx, "machine", "repair_online",
                  {telemetry::TraceArg::num("online", OnlineCount)});
@@ -642,6 +856,10 @@ void Machine::terminate(SimThread *T) {
   case ThreadState::Running: {
     Core &C = Cores[static_cast<unsigned>(T->CoreIdx)];
     assert(C.Running == T);
+    if (C.Coalesced) {
+      Cnt.Slices += phantomsPassed(C);
+      unchain(static_cast<unsigned>(T->CoreIdx));
+    }
     ++C.Epoch; // cancel the in-flight endSlice
     C.Running = nullptr;
     C.LastThread = T;

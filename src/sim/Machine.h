@@ -193,7 +193,13 @@ struct MachineConfig {
 };
 
 /// The simulated multicore machine.
-class Machine {
+///
+/// A burst that would run several quanta in a row with nothing to decide
+/// at the boundaries between them is armed as one coalesced slice, and
+/// split back into per-quantum slices the moment a boundary could matter
+/// (DESIGN.md, "Quantum coalescing"). The schedule is the per-quantum
+/// one exactly; only the number of simulator events differs.
+class Machine : private ScheduleWatch {
 public:
   Machine(Simulator &Sim, unsigned NumCores, MachineConfig Cfg = {});
   ~Machine();
@@ -201,6 +207,7 @@ public:
   Machine &operator=(const Machine &) = delete;
 
   Simulator &sim() { return Sim; }
+  const Simulator &sim() const { return Sim; }
   unsigned numCores() const { return static_cast<unsigned>(Cores.size()); }
 
   /// Creates a thread; it becomes ready immediately. The machine owns it.
@@ -215,10 +222,6 @@ public:
 
   /// Number of spawned threads that have not finished.
   unsigned threadsAlive() const { return AliveCount; }
-
-  /// Invoked whenever the number of busy cores changes; used by the power
-  /// meter. Receives the *previous* count's end time implicitly via now().
-  std::function<void(unsigned NewBusyCount)> OnBusyCountChange;
 
   // --- Fault model (sim/Faults.h) --------------------------------------
 
@@ -322,7 +325,7 @@ public:
 
   /// Event counts over the machine's life (machine.* metrics).
   struct Counts {
-    std::uint64_t Slices = 0;         ///< slices dispatched
+    std::uint64_t Slices = 0;         ///< scheduling quanta started
     std::uint64_t CtxSwitches = 0;    ///< slices that paid a switch cost
     std::uint64_t CoresPenalized = 0; ///< slow-core penalty transitions
     std::uint64_t CoresRecovered = 0; ///< ... and their reversals
@@ -330,10 +333,31 @@ public:
     std::uint64_t DomainWarnings = 0; ///< failure-domain warnings fired
     std::uint64_t Rescued = 0;        ///< stranded threads re-queued
   };
-  const Counts &counts() const { return Cnt; }
+  /// Counts so far; Slices includes the quanta coalesced slices have
+  /// started by now().
+  Counts counts() const;
 
 private:
   friend class Waitable;
+
+  /// A point in the firing order, for placing coalesced quantum boundaries
+  /// among real events at one instant. Class 0: a real event armed at an
+  /// earlier instant (those run first); 1: a phantom quantum boundary,
+  /// ordered by its chain's rank (Hi, Lo); 2: a real zero-delay or carry
+  /// event, or no event at all. Real moments of one instant and class
+  /// order by Hi (a chain's creation index; ~0 for the present).
+  struct Moment {
+    SimTime At;
+    unsigned Class;
+    std::uint64_t Hi, Lo;
+    bool operator<(const Moment &O) const {
+      if (At != O.At)
+        return At < O.At;
+      if (Class != O.Class)
+        return Class < O.Class;
+      return Hi != O.Hi ? Hi < O.Hi : Lo < O.Lo;
+    }
+  };
 
   struct Core {
     SimThread *Running = nullptr;
@@ -357,6 +381,16 @@ private:
     /// Placement-penalty state as of the last rate sample, kept only to
     /// emit core_penalized / core_recovered transitions exactly once.
     bool PenalizedMark = false;
+    // Coalesced slice ("chain"): work runs from ChainStart to ChainEnd,
+    // crossing phantom quantum boundaries ChainStart + j * Quantum.
+    bool Coalesced = false;
+    SimTime ChainStart = 0;
+    SimTime ChainEnd = 0;
+    /// Order of this chain's phantoms among same-instant phantoms of other
+    /// chains (Moment::Hi/Lo); Lo is also the creation index.
+    std::uint64_t RankHi = 0, RankLo = 0;
+    /// Moment::Class of the chain's arming (at SliceAt).
+    unsigned ArmedClass = 0;
   };
 
   void wake(SimThread *T);
@@ -366,6 +400,47 @@ private:
   /// emits penalty-transition telemetry.
   void noteSliceRate(unsigned CoreIdx);
   void startSlice(unsigned CoreIdx, SimThread *T);
+  /// True when every quantum boundary of \p T's burst on \p CoreIdx
+  /// would be a no-op as things stand.
+  bool coalescible(unsigned CoreIdx, SimThread *T) const;
+  /// Arms the slice startSlice() just set up on \p CoreIdx as a chain.
+  void armChain(unsigned CoreIdx, SimThread *T, SimTime Overhead,
+                std::uint64_t Epoch);
+  // Chain geometry and ordering (see Moment).
+  std::uint64_t phantomCount(const Core &C) const {
+    return (C.ChainEnd - C.ChainStart - 1) / Cfg.Quantum;
+  }
+  SimTime phantomAt(const Core &C, std::uint64_t J) const {
+    return C.ChainStart + J * Cfg.Quantum;
+  }
+  /// Phantom boundaries of \p C that have fired by the current moment.
+  std::uint64_t phantomsPassed(const Core &C) const;
+  Moment nowMoment() const;
+  Moment phantomMoment(const Core &C, std::uint64_t J) const {
+    return Moment{phantomAt(C, J), 1, C.RankHi, C.RankLo};
+  }
+  /// When boundary J's slice event would have been armed: the previous
+  /// boundary, or the chain's own arming for the first one.
+  Moment armMoment(const Core &C, std::uint64_t J) const {
+    return J == 1 ? Moment{C.SliceAt, C.ArmedClass, C.RankLo, 0}
+                  : phantomMoment(C, J - 1);
+  }
+  /// When the chain's final slice event would have been armed.
+  Moment endMoment(const Core &C) const {
+    return phantomMoment(C, phantomCount(C));
+  }
+  /// Ends every listed chain (plus every chain sharing a split instant)
+  /// at its next unfired boundary, crediting the quanta it covered.
+  void splitChains(std::vector<unsigned> Picked);
+  void splitAllChains() {
+    if (!Chains.empty())
+      splitChains(Chains);
+  }
+  /// Stops treating \p CoreIdx's slice as a chain (its events stay armed).
+  void unchain(unsigned CoreIdx);
+  /// Schedules \p Fn at \p At as though armed at moment \p M.
+  template <typename F> void scheduleAs(const Moment &M, SimTime At, F &&Fn);
+  void beforeSchedule(SimTime At) override;
   bool tryReserveGang(SimThread *T, unsigned Gang, SimTime Cycles);
   void endSlice(unsigned CoreIdx, SimThread *T, SimTime SliceLen,
                 std::uint64_t Epoch);
@@ -380,6 +455,12 @@ private:
   MachineConfig Cfg;
   std::vector<Core> Cores;
   std::deque<SimThread *> ReadyQueue;
+  /// Cores running a coalesced slice, and how many chains were ever armed.
+  std::vector<unsigned> Chains;
+  std::uint64_t ChainsArmed = 0;
+  /// The moment the machine's own schedule in progress stands for (null:
+  /// the present), read by beforeSchedule().
+  const Moment *ArmingAs = nullptr;
   std::vector<std::unique_ptr<SimThread>> Threads;
   unsigned BusyCount = 0;    ///< occupied cores: running + gang-reserved
   unsigned Reserved = 0;     ///< gang helper cores currently reserved

@@ -4,23 +4,12 @@
 
 using namespace parcae::sim;
 
-EnergyMeter::EnergyMeter(Machine &M, PowerModel Model)
-    : M(M), Model(Model), BusyCores(M.busyCores()),
-      LastChange(M.sim().now()) {
-  assert(!M.OnBusyCountChange && "machine already has an energy meter");
-  M.OnBusyCountChange = [this](unsigned NewBusy) { onBusyChange(NewBusy); };
-}
+EnergyMeter::EnergyMeter(const Machine &M, PowerModel Model)
+    : M(M), Model(Model), StartAt(M.sim().now()), StartBusy(M.busyCoreTime()) {}
 
 double EnergyMeter::joules() const {
-  SimTime Now = M.sim().now();
-  Joules += Model.watts(BusyCores) * toSeconds(Now - LastChange);
-  LastChange = Now;
-  return Joules;
-}
-
-void EnergyMeter::onBusyChange(unsigned NewBusy) {
-  joules(); // settle the integral at the old busy count
-  BusyCores = NewBusy;
+  return Model.StaticWatts * toSeconds(M.sim().now() - StartAt) +
+         Model.PerCoreActiveWatts * toSeconds(M.busyCoreTime() - StartBusy);
 }
 
 PduSampler::PduSampler(Simulator &Sim, const EnergyMeter &Meter,

@@ -41,25 +41,24 @@ struct PowerModel {
 };
 
 /// Integrates machine power over time and reports instantaneous draw.
+/// Energy is static power over the elapsed time plus per-core power over
+/// the machine's busy-core-time integral, so the meter needs no callback
+/// and does not depend on how busy intervals are cut.
 class EnergyMeter {
 public:
-  /// Attaches to \p M's busy-count callback. At most one meter per machine.
-  EnergyMeter(Machine &M, PowerModel Model);
+  EnergyMeter(const Machine &M, PowerModel Model);
 
   /// Instantaneous draw right now.
-  double currentWatts() const { return Model.watts(BusyCores); }
+  double currentWatts() const { return Model.watts(M.busyCores()); }
   /// Total energy consumed since attachment, in joules.
   double joules() const;
   const PowerModel &model() const { return Model; }
 
 private:
-  void onBusyChange(unsigned NewBusy);
-
-  Machine &M;
+  const Machine &M;
   PowerModel Model;
-  unsigned BusyCores = 0;
-  mutable double Joules = 0.0;
-  mutable SimTime LastChange = 0;
+  SimTime StartAt;
+  SimTime StartBusy; ///< busyCoreTime() at attachment
 };
 
 /// Periodic power sampler with the AP7892's 13-samples-per-minute rate.

@@ -26,6 +26,17 @@ bool Simulator::popDueNow(std::uint32_t &OutSlot) {
     OutSlot = Heap.back().Slot;
     Heap.pop_back();
     ++HeapHits;
+    ArmedEarlier = true;
+    return true;
+  }
+  ArmedEarlier = false;
+  if (!HeapDue && CarryHead < Carry.size()) {
+    OutSlot = Carry[CarryHead];
+    if (++CarryHead == Carry.size()) {
+      Carry.clear();
+      CarryHead = 0;
+    }
+    ++RingHits;
     return true;
   }
   if (!RingDue)
@@ -40,7 +51,8 @@ bool Simulator::popDueNow(std::uint32_t &OutSlot) {
 }
 
 bool Simulator::advanceClock() {
-  assert(RingHead == Ring.size() && "clock advanced with due-now work pending");
+  assert(RingHead == Ring.size() && CarryHead == Carry.size() &&
+         "clock advanced with due-now work pending");
   if (Heap.empty())
     return false;
   assert(Heap.front().At > Now && "event queue went backwards");
@@ -49,7 +61,7 @@ bool Simulator::advanceClock() {
 }
 
 bool Simulator::nextPendingTime(SimTime &T) const {
-  if (RingHead < Ring.size()) {
+  if (RingHead < Ring.size() || CarryHead < Carry.size()) {
     T = Now;
     return true;
   }
@@ -81,9 +93,15 @@ bool Simulator::runOne() {
   // This slot is only recycled after the callback is destroyed.
   EventFn &Fn = slot(Slot);
   Fn();
+  ArmedEarlier = false;
   Fn.reset();
   freeSlot(Slot);
   return true;
+}
+
+void Simulator::notifyWatches(SimTime At) {
+  for (std::size_t I = Watches.size(); I-- > 0;) // a watch may leave
+    Watches[I]->beforeSchedule(At);
 }
 
 void Simulator::diagnoseLivelock() const {
@@ -96,7 +114,8 @@ void Simulator::diagnoseLivelock() const {
                SameTimeCount, static_cast<std::uint64_t>(Now),
                EventsProcessed);
   std::fprintf(stderr, "  queue: ring=%zu heap=%zu pending\n",
-               Ring.size() - RingHead, Heap.size());
+               Ring.size() - RingHead + Carry.size() - CarryHead,
+               Heap.size());
   // The next few (time, seq) pairs across both tiers, globally ordered:
   // a same-time spin shows up as a run of equal timestamps with climbing
   // seqs, naming exactly which schedules keep the clock pinned.

@@ -24,6 +24,13 @@
 /// an event landed in is invisible to replay: same-instant events fire
 /// in schedule order whichever tier held them.
 ///
+/// Two hooks serve sim/Machine's quantum coalescing, which must place a
+/// re-armed slice event exactly where per-quantum slicing would have:
+/// scheduleNowAsArmedEarlier() queues an event due now between the
+/// earlier-armed events and the zero-delay ones (a short carry list
+/// drained between the two tiers), and a ScheduleWatch sees every future
+/// schedule before it takes its seq. Neither touches the heap entries.
+///
 /// The core is allocation-free in steady state: callbacks are held in
 /// small-buffer EventFn cells inside a chunked slab whose addresses are
 /// stable (so a handler runs in place while scheduling more events), and
@@ -48,13 +55,28 @@
 
 namespace parcae::sim {
 
+/// Observer told about every future schedule before the new event takes
+/// its place in the order (see Simulator::addWatch). sim/Machine uses it
+/// to keep coalesced quantum slices exact (DESIGN.md, "Quantum
+/// coalescing").
+class ScheduleWatch {
+public:
+  /// Called from scheduleAt() for \p At > now(), before the new event is
+  /// assigned its seq; the watch may schedule events of its own, which
+  /// then order before the new one.
+  virtual void beforeSchedule(SimTime At) = 0;
+
+protected:
+  ~ScheduleWatch() = default;
+};
+
 /// Discrete-event simulator: a clock plus a two-tier ordered queue.
 class Simulator {
 public:
   /// Cheap per-tier dispatch counters, for perf analysis and the
   /// telemetry metrics registry (sim.queue.* gauges).
   struct QueueStats {
-    std::uint64_t RingHits = 0; ///< events dispatched from the ring
+    std::uint64_t RingHits = 0; ///< due-now events (ring and carry list)
     std::uint64_t HeapHits = 0; ///< events dispatched from the heap
     /// Always 0 (there is no wheel tier); still read by wsbench/Bench.h.
     static constexpr std::uint64_t WheelHits = 0;
@@ -75,6 +97,8 @@ public:
     static_assert(std::is_invocable_r_v<void, std::decay_t<F> &>,
                   "event callback must be callable as void()");
     assert(At >= Now && "cannot schedule an event in the past");
+    if (!Watches.empty() && At > Now)
+      notifyWatches(At);
     std::uint32_t S = grabSlot();
     slot(S).assign(std::forward<F>(Fn));
     std::uint32_t Seq = NextSeq++;
@@ -89,6 +113,26 @@ public:
     }
     Heap.push_back(Scheduled{At, Seq, S});
     std::push_heap(Heap.begin(), Heap.end(), Later{});
+  }
+
+  /// Schedules \p Fn at the current instant as though it had been armed
+  /// at an earlier one: it runs after every event due now that was armed
+  /// before now() and before every zero-delay event (pending or future).
+  /// Several such events run in schedule order.
+  template <typename F> void scheduleNowAsArmedEarlier(F &&Fn) {
+    std::uint32_t S = grabSlot();
+    slot(S).assign(std::forward<F>(Fn));
+    Carry.push_back(S);
+  }
+
+  /// True while the running event was armed at an earlier instant than
+  /// now() (false for zero-delay events and outside any event).
+  bool currentArmedEarlier() const { return ArmedEarlier; }
+
+  /// Registers / unregisters a schedule watch (see ScheduleWatch).
+  void addWatch(ScheduleWatch *W) { Watches.push_back(W); }
+  void removeWatch(ScheduleWatch *W) {
+    Watches.erase(std::find(Watches.begin(), Watches.end(), W));
   }
 
   /// Runs the next event, if any. Returns false when the queue is empty.
@@ -109,7 +153,9 @@ public:
   /// Total number of events executed (sanity metric for tests).
   std::uint64_t eventsProcessed() const { return EventsProcessed; }
 
-  bool empty() const { return Heap.empty() && RingHead == Ring.size(); }
+  bool empty() const {
+    return Heap.empty() && RingHead == Ring.size() && CarryHead == Carry.size();
+  }
 
   /// Pre-sizes the heap, the due-now ring and the callback slab (steady
   /// state then never allocates as long as at most \p Events are
@@ -206,6 +252,7 @@ private:
     FreeHead = S;
   }
 
+  void notifyWatches(SimTime At);
   [[noreturn]] void diagnoseLivelock() const;
 
   SimTime Now = 0;
@@ -219,6 +266,12 @@ private:
   /// may advance (interleaved with equal-time heap events by Seq).
   std::vector<DueNow> Ring;
   std::size_t RingHead = 0;
+  /// Slots of scheduleNowAsArmedEarlier() events: due now, drained after
+  /// the heap's due-now events and before the ring.
+  std::vector<std::uint32_t> Carry;
+  std::size_t CarryHead = 0;
+  bool ArmedEarlier = false;
+  std::vector<ScheduleWatch *> Watches;
   // Tier dispatch counters (see queueStats()).
   std::uint64_t RingHits = 0;
   std::uint64_t HeapHits = 0;

@@ -8,7 +8,9 @@
 //    across (DoP, cores, reconfiguration cadence) combinations;
 //  * semantic equivalence of every Nona benchmark under every exposed
 //    scheme at several DoPs;
-//  * machine conservation laws (busy-core time vs. work performed).
+//  * machine conservation laws (busy-core time vs. work performed);
+//  * machine schedules of random spawn/block/wake/gang mixes, pinned to
+//    the per-quantum scheduler's results.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +25,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <set>
+#include <string>
 
 using namespace parcae;
 using namespace parcae::rt;
@@ -280,3 +285,169 @@ INSTANTIATE_TEST_SUITE_P(Apps, ScalabilityProperty,
                                            LaneApp{&swaptionsParams},
                                            LaneApp{&bzipParams},
                                            LaneApp{&oilifyParams}));
+
+//===----------------------------------------------------------------------===//
+// Pinned machine schedules under random spawn/block/wake/gang mixes
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// One randomized machine world: threads scripted from a seeded RNG run
+/// sub-quantum, multi-quantum and exact-quantum-multiple computes, gang
+/// computes, block on shared gates and notify them; timers spawn more
+/// threads and notify gates at times on a 1 ms grid (plus switch-cost
+/// offsets), so wakes land exactly on quantum boundaries as well as
+/// inside quanta.
+struct MixWorld {
+  sim::Simulator Sim;
+  sim::Machine M;
+  std::array<sim::Waitable, 3> Gates;
+  std::vector<sim::SimTime> Finish;
+  unsigned Live = 0;
+  MixWorld(unsigned Cores) : M(Sim, Cores) {}
+};
+
+/// A grid-aligned delay: whole milliseconds plus 0, 1 or 2 switch costs.
+sim::SimTime gridDelay(Rng &R, unsigned MaxMs) {
+  return static_cast<sim::SimTime>(1 + R.nextBelow(MaxMs)) * sim::MSec +
+         static_cast<sim::SimTime>(R.nextBelow(3)) * 5 * sim::USec;
+}
+
+class MixBody : public sim::ThreadBody {
+public:
+  MixBody(MixWorld &W, std::uint64_t Seed, unsigned Id, unsigned Cores)
+      : W(W), R(Seed), Id(Id), Cores(Cores),
+        Steps(40 + static_cast<int>(R.nextBelow(80))) {}
+  sim::Action resume(sim::Machine &M, sim::SimThread &) override {
+    if (Steps-- <= 0) {
+      W.Finish[Id] = M.sim().now();
+      --W.Live;
+      return sim::Action::finish();
+    }
+    const sim::SimTime Q = 4 * sim::MSec;
+    std::uint64_t K = R.nextBelow(100);
+    if (K < 20) // sub-quantum
+      return sim::Action::compute(
+          static_cast<sim::SimTime>(1 + R.nextBelow(Q - 1)));
+    if (K < 45) // several quanta plus a remainder
+      return sim::Action::compute(
+          static_cast<sim::SimTime>(1 + R.nextBelow(12)) * Q +
+          static_cast<sim::SimTime>(R.nextBelow(Q)));
+    if (K < 57) // an exact quantum multiple
+      return sim::Action::compute(
+          static_cast<sim::SimTime>(1 + R.nextBelow(10)) * Q);
+    if (K < 65 && Cores > 1)
+      return sim::Action::gangCompute(
+          2 + static_cast<unsigned>(R.nextBelow(Cores - 1)),
+          static_cast<sim::SimTime>(1 + R.nextBelow(3)) * Q +
+              static_cast<sim::SimTime>(R.nextBelow(Q)));
+    if (K < 90)
+      return sim::Action::block(W.Gates[R.nextBelow(W.Gates.size())]);
+    sim::Waitable &G = W.Gates[R.nextBelow(W.Gates.size())];
+    if (R.nextBelow(2))
+      G.notifyAll();
+    else
+      G.notifyOne();
+    return sim::Action::compute(static_cast<sim::SimTime>(
+        (1 + R.nextBelow(20)) * 50 * sim::USec));
+  }
+
+private:
+  MixWorld &W;
+  Rng R;
+  unsigned Id;
+  unsigned Cores;
+  int Steps;
+};
+
+/// FNV-1a over 64-bit words.
+struct Digest {
+  std::uint64_t H = 1469598103934665603ull;
+  void add(std::uint64_t V) {
+    for (int I = 0; I < 8; ++I) {
+      H ^= (V >> (8 * I)) & 0xff;
+      H *= 1099511628211ull;
+    }
+  }
+};
+
+/// Runs one world and digests every thread's finish time, the final clock
+/// and the machine's slice and context-switch counts.
+std::uint64_t runMix(std::uint64_t Seed, unsigned Cores) {
+  MixWorld W(Cores);
+  Rng R(Seed * 1000003 + Cores);
+  unsigned Next = 0;
+  auto Spawn = [&](std::uint64_t BodySeed) {
+    unsigned Id = Next++;
+    W.Finish.push_back(0);
+    ++W.Live;
+    W.M.spawn("mix" + std::to_string(Id),
+              std::make_unique<MixBody>(W, BodySeed, Id, Cores));
+  };
+  // Up to one thread more than cores: slices both contend and run
+  // uncontended for many quanta.
+  unsigned Initial = 1 + static_cast<unsigned>(R.nextBelow(Cores + 1));
+  for (unsigned I = 0; I < Initial; ++I)
+    Spawn(R.next());
+  unsigned Late = static_cast<unsigned>(R.nextBelow(7));
+  unsigned Total = Initial + Late;
+  for (unsigned I = 0; I < Late; ++I) {
+    std::uint64_t BodySeed = R.next();
+    W.Sim.schedule(gridDelay(R, 400), [&, BodySeed] { Spawn(BodySeed); });
+  }
+  for (unsigned I = 0; I < 120; ++I) {
+    std::size_t G = R.nextBelow(W.Gates.size());
+    bool All = R.nextBelow(2) != 0;
+    W.Sim.schedule(gridDelay(R, 1200), [&W, G, All] {
+      if (All)
+        W.Gates[G].notifyAll();
+      else
+        W.Gates[G].notifyOne();
+    });
+  }
+  // A sweeper keeps every gate live until all threads have finished, so a
+  // thread that blocks after the last random notification still ends.
+  std::function<void()> Sweep = [&] {
+    for (sim::Waitable &G : W.Gates)
+      G.notifyAll();
+    if (W.Live > 0 || Next < Total)
+      W.Sim.schedule(7 * sim::MSec, Sweep);
+  };
+  W.Sim.schedule(7 * sim::MSec, Sweep);
+  W.Sim.run();
+  EXPECT_EQ(W.M.threadsAlive(), 0u);
+  Digest D;
+  for (sim::SimTime F : W.Finish)
+    D.add(F);
+  D.add(W.Sim.now());
+  D.add(W.M.counts().Slices);
+  D.add(W.M.counts().CtxSwitches);
+  return D.H;
+}
+} // namespace
+
+class PinnedScheduleProperty : public ::testing::TestWithParam<unsigned> {};
+
+/// Every thread's finish time and the slice/switch counts are pinned to
+/// the values the per-quantum scheduler produced (one table row per seed,
+/// one column per core count 1..6): quantum coalescing must reproduce the
+/// per-quantum schedule exactly, ties at quantum boundaries included.
+TEST_P(PinnedScheduleProperty, MatchesPerQuantumSchedule) {
+  static const std::uint64_t Pinned[3][6] = {
+      {7706306163628915601ull, 16507681033498873728ull,
+       18358118897176029192ull, 7567694013698940442ull,
+       13429736303873524762ull, 17868154327530420377ull},
+      {3042679271217680068ull, 15491025106431362714ull,
+       199558957142858738ull, 10795582804686059214ull,
+       17473062417505809387ull, 15397541691660489509ull},
+      {670173379272738743ull, 16027523271865138485ull,
+       15307793658273743307ull, 8835421040402462655ull,
+       16489886459413107814ull, 6590157984263914389ull},
+  };
+  unsigned SeedIdx = GetParam();
+  for (unsigned Cores = 1; Cores <= 6; ++Cores)
+    EXPECT_EQ(runMix(SeedIdx + 1, Cores), Pinned[SeedIdx][Cores - 1])
+        << "seed " << SeedIdx + 1 << ", " << Cores << " cores";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PinnedScheduleProperty,
+                         ::testing::Values(0u, 1u, 2u));

@@ -562,6 +562,303 @@ TEST(Machine, BusyCoreTimeIntegrates) {
   EXPECT_EQ(M.busyCoreTime(), 300u);
 }
 
+//===----------------------------------------------------------------------===//
+// Quantum coalescing. Default costs: 4 ms quantum, 5 us context switch.
+// Every expected time below is what per-quantum slicing produces.
+//===----------------------------------------------------------------------===//
+
+namespace {
+constexpr SimTime Q = 4 * MSec;
+constexpr SimTime Sw = 5 * USec;
+
+/// Optionally blocks once on \p Gate, then computes one burst and records
+/// when it finished (its next resume, which needs a core again).
+class TimedBurst : public ThreadBody {
+public:
+  TimedBurst(SimTime Cycles, SimTime &FinishAt, Waitable *Gate = nullptr)
+      : Cycles(Cycles), FinishAt(FinishAt), Gate(Gate) {}
+  Action resume(Machine &M, SimThread &) override {
+    if (Gate) {
+      Waitable *G = Gate;
+      Gate = nullptr;
+      return Action::block(*G);
+    }
+    if (!Done) {
+      Done = true;
+      return Action::compute(Cycles);
+    }
+    FinishAt = M.sim().now();
+    return Action::finish();
+  }
+
+private:
+  SimTime Cycles;
+  SimTime &FinishAt;
+  Waitable *Gate;
+  bool Done = false;
+};
+
+/// One gang compute, then finish.
+class GangBurst : public ThreadBody {
+public:
+  GangBurst(unsigned Cores, SimTime Cycles, SimTime &FinishAt)
+      : Cores(Cores), Cycles(Cycles), FinishAt(FinishAt) {}
+  Action resume(Machine &M, SimThread &) override {
+    if (!Done) {
+      Done = true;
+      return Action::gangCompute(Cores, Cycles);
+    }
+    FinishAt = M.sim().now();
+    return Action::finish();
+  }
+
+private:
+  unsigned Cores;
+  SimTime Cycles;
+  SimTime &FinishAt;
+  bool Done = false;
+};
+} // namespace
+
+TEST(Coalescing, SoloBurstIsOneSliceEvent) {
+  Simulator Sim;
+  Machine M(Sim, 1);
+  SimTime A = 0;
+  M.spawn("a", std::make_unique<TimedBurst>(10 * Q, A));
+  Sim.run();
+  EXPECT_EQ(A, 10 * Q);
+  EXPECT_LE(Sim.eventsProcessed(), 2u);
+  EXPECT_EQ(M.counts().Slices, 10u); // still counted per quantum
+  EXPECT_EQ(M.counts().CtxSwitches, 0u);
+  EXPECT_EQ(M.busyCoreTime(), 10 * Q);
+}
+
+TEST(Coalescing, SpawnMidBurstTakesCoreAtNextBoundary) {
+  Simulator Sim;
+  Machine M(Sim, 1);
+  SimTime A = 0, B = 0;
+  M.spawn("a", std::make_unique<TimedBurst>(10 * Q, A));
+  Sim.schedule(6 * MSec, [&] {
+    M.spawn("b", std::make_unique<TimedBurst>(1 * MSec, B));
+  });
+  Sim.run();
+  // b waits for a's boundary at 8 ms and pays a switch; a, queued behind
+  // it, returns at 9.005 ms with another switch and runs a contended
+  // quantum, after which b finishes and a runs its last 7 quanta.
+  EXPECT_EQ(B, 3 * Q + 2 * Sw + 1 * MSec);
+  EXPECT_EQ(A, 10 * Q + 2 * Sw + 1 * MSec);
+  EXPECT_EQ(M.counts().Slices, 11u);
+  EXPECT_EQ(M.counts().CtxSwitches, 2u);
+}
+
+namespace {
+/// a computes 10 quanta on one core from t = 0 while b blocks on a gate;
+/// \p Arm schedules the gate's notification. Returns b's finish time.
+SimTime wakeAtBoundary(
+    const std::function<void(Simulator &, Waitable &)> &ArmBeforeA,
+    const std::function<void(Simulator &, Waitable &)> &ArmAfterA) {
+  Simulator Sim;
+  Machine M(Sim, 1);
+  Waitable Gate;
+  SimTime A = 0, B = 0;
+  M.spawn("b", std::make_unique<TimedBurst>(1 * MSec, B, &Gate));
+  if (ArmBeforeA)
+    ArmBeforeA(Sim, Gate);
+  M.spawn("a", std::make_unique<TimedBurst>(10 * Q, A));
+  if (ArmAfterA)
+    ArmAfterA(Sim, Gate);
+  Sim.run();
+  // However the tie goes, a loses the core once and gets it back.
+  EXPECT_EQ(A, 10 * Q + 2 * Sw + 1 * MSec);
+  EXPECT_EQ(M.counts().Slices, 11u);
+  EXPECT_EQ(M.counts().CtxSwitches, 2u);
+  return B;
+}
+} // namespace
+
+TEST(Coalescing, WakeAtBoundaryArmedBeforePreviousBoundaryWins) {
+  // Armed at 0 for 8 ms: earlier than the 8 ms slice event (armed at the
+  // 4 ms boundary), so b is queued when a's quantum ends and takes the
+  // core at 8 ms (finishing after a's contended quantum, as above).
+  SimTime B = wakeAtBoundary(nullptr, [](Simulator &Sim, Waitable &G) {
+    Sim.schedule(2 * Q, [&G] { G.notifyAll(); });
+  });
+  EXPECT_EQ(B, 3 * Q + 2 * Sw + 1 * MSec);
+}
+
+TEST(Coalescing, WakeAtBoundaryArmedAfterPreviousBoundaryWaits) {
+  // Armed at 5 ms for 8 ms: after the 8 ms slice event, so a's 8 ms
+  // boundary finds nobody waiting and b gets the core at 12 ms.
+  SimTime B = wakeAtBoundary(nullptr, [](Simulator &Sim, Waitable &G) {
+    Sim.schedule(5 * MSec, [&Sim, &G] {
+      Sim.schedule(3 * MSec, [&G] { G.notifyAll(); });
+    });
+  });
+  EXPECT_EQ(B, 4 * Q + 2 * Sw + 1 * MSec);
+}
+
+TEST(Coalescing, WakeArmedAtPreviousBoundaryFollowsArmingOrder) {
+  // Both wakes are armed at exactly 4 ms, by an event that fires there.
+  // Armed before a started, that event runs before a's 4 ms boundary, so
+  // its wake precedes the 8 ms slice event; armed after, it runs behind
+  // the boundary and its wake follows.
+  auto Relay = [](Simulator &Sim, Waitable &G) {
+    Sim.schedule(Q, [&Sim, &G] { Sim.schedule(Q, [&G] { G.notifyAll(); }); });
+  };
+  EXPECT_EQ(wakeAtBoundary(Relay, nullptr), 3 * Q + 2 * Sw + 1 * MSec);
+  EXPECT_EQ(wakeAtBoundary(nullptr, Relay), 4 * Q + 2 * Sw + 1 * MSec);
+}
+
+TEST(Coalescing, SamePhaseChainsHandOverInArmingOrder) {
+  Simulator Sim;
+  Machine M(Sim, 2);
+  SimTime A = 0, B = 0, C = 0;
+  M.spawn("a", std::make_unique<TimedBurst>(10 * Q, A)); // core 0
+  M.spawn("b", std::make_unique<TimedBurst>(10 * Q, B)); // core 1
+  Sim.schedule(6 * MSec, [&] {
+    M.spawn("c", std::make_unique<TimedBurst>(1 * MSec, C));
+  });
+  Sim.run();
+  // At 8 ms a's boundary fires first: c takes core 0 and a is queued;
+  // then b's: a takes core 1 and b waits until c's slice ends at 9.005 ms.
+  // With the boundaries the other way round, a and b would swap.
+  EXPECT_EQ(C, 3 * Q + Sw);
+  EXPECT_EQ(A, 10 * Q + Sw);
+  EXPECT_EQ(B, 10 * Q + 2 * Sw + 1 * MSec);
+  EXPECT_EQ(M.counts().Slices, 21u);
+  EXPECT_EQ(M.counts().CtxSwitches, 3u);
+}
+
+TEST(Coalescing, ChainArmedBeforeABoundaryRanksAheadOfOlderChain) {
+  Simulator Sim;
+  Machine M(Sim, 2);
+  SimTime A = 0, B = 0, C = 0;
+  // b is spawned at 4 ms by an event armed before a started, so it runs
+  // before a's 4 ms boundary and b's slice events fire ahead of a's from
+  // then on, although a's chain is older.
+  Sim.schedule(Q, [&] {
+    M.spawn("b", std::make_unique<TimedBurst>(5 * Q, B)); // core 1
+  });
+  M.spawn("a", std::make_unique<TimedBurst>(10 * Q, A)); // core 0
+  Sim.schedule(6 * MSec, [&] {
+    M.spawn("c", std::make_unique<TimedBurst>(1 * MSec, C));
+  });
+  Sim.run();
+  // At 8 ms b's boundary fires first: c takes core 1 and b takes core 0
+  // from a, which waits until c's slice ends at 9.005 ms.
+  EXPECT_EQ(C, 3 * Q + Sw);
+  EXPECT_EQ(B, Q + 5 * Q + Sw);
+  EXPECT_EQ(A, 10 * Q + 2 * Sw + 1 * MSec);
+  EXPECT_EQ(M.counts().CtxSwitches, 3u);
+}
+
+namespace {
+/// Computes \p First, then notifies \p Gate and computes \p Then.
+class NotifyBetweenBursts : public ThreadBody {
+public:
+  NotifyBetweenBursts(SimTime First, SimTime Then, Waitable &Gate,
+                      SimTime &FinishAt)
+      : First(First), Then(Then), Gate(Gate), FinishAt(FinishAt) {}
+  Action resume(Machine &M, SimThread &) override {
+    switch (Step++) {
+    case 0:
+      return Action::compute(First);
+    case 1:
+      Gate.notifyAll();
+      return Action::compute(Then);
+    default:
+      FinishAt = M.sim().now();
+      return Action::finish();
+    }
+  }
+
+private:
+  SimTime First, Then;
+  Waitable &Gate;
+  SimTime &FinishAt;
+  int Step = 0;
+};
+} // namespace
+
+TEST(Coalescing, BurstEndOnAnotherChainsBoundaryKeepsItsOrder) {
+  Simulator Sim;
+  Machine M(Sim, 2);
+  Waitable Gate;
+  SimTime W = 0, D = 0, C = 0;
+  M.spawn("w", std::make_unique<TimedBurst>(1 * MSec, W, &Gate));
+  // d (core 0) ends its first burst at 18 ms; its last quantum starts at
+  // 16 ms. c (core 1) starts at 2 ms, so it has a boundary at 18 ms whose
+  // slice event is armed at 14 ms: earlier than d's, so it fires first.
+  M.spawn("d", std::make_unique<NotifyBetweenBursts>(4 * Q + 2 * MSec,
+                                                     1 * MSec, Gate, D));
+  Sim.schedule(2 * MSec, [&] {
+    M.spawn("c", std::make_unique<TimedBurst>(10 * Q, C));
+  });
+  Sim.run();
+  // So when d wakes w at 18 ms, c has already gone on into its next
+  // quantum: w waits for d's 1 ms burst and takes core 0 at 19 ms.
+  EXPECT_EQ(W, 5 * Q + Sw);
+  EXPECT_EQ(D, 5 * Q + Sw);
+  EXPECT_EQ(C, 2 * MSec + 10 * Q);
+  EXPECT_EQ(M.counts().CtxSwitches, 1u);
+}
+
+TEST(Coalescing, GangWaiterArrivingMidBurstGetsNextBoundary) {
+  Simulator Sim;
+  Machine M(Sim, 2);
+  SimTime A = 0, G = 0;
+  M.spawn("a", std::make_unique<TimedBurst>(10 * Q, A));
+  Sim.schedule(6 * MSec, [&] {
+    M.spawn("g", std::make_unique<GangBurst>(2, 1 * MSec, G));
+  });
+  Sim.run();
+  // g cannot reserve both cores until a's 8 ms boundary frees core 0;
+  // a then waits for the gang and returns with a switch.
+  EXPECT_EQ(G, 2 * Q + Sw + 1 * MSec);
+  EXPECT_EQ(A, G + Sw + 8 * Q);
+  EXPECT_EQ(M.counts().Slices, 11u);
+  EXPECT_EQ(M.counts().CtxSwitches, 2u);
+}
+
+TEST(Coalescing, OfflineMidChainCreditsPartialWork) {
+  Simulator Sim;
+  Machine M(Sim, 2);
+  SimTime A = 0;
+  M.spawn("a", std::make_unique<TimedBurst>(10 * Q, A)); // core 0
+  Sim.schedule(10 * MSec, [&] {
+    M.offlineCore(0);
+    EXPECT_EQ(M.strandedThreads(), 1u);
+    EXPECT_EQ(M.counts().Slices, 3u); // quanta begun at 0, 4 and 8 ms
+    M.rescueStranded();
+  });
+  Sim.run();
+  // 10 ms of the 40 ms burst were credited; the rest runs on core 1,
+  // which has never run a thread (no switch cost).
+  EXPECT_EQ(A, 10 * MSec + 30 * MSec);
+  EXPECT_EQ(M.counts().Slices, 11u);
+  EXPECT_EQ(M.counts().CtxSwitches, 0u);
+  EXPECT_EQ(M.busyCoreTime(), 10 * Q);
+}
+
+TEST(Coalescing, TerminateMidChainFreesTheCore) {
+  Simulator Sim;
+  Machine M(Sim, 1);
+  SimTime A = 0, B = 0;
+  SimThread *TA = M.spawn("a", std::make_unique<TimedBurst>(10 * Q, A));
+  Sim.schedule(10 * MSec, [&] {
+    EXPECT_EQ(M.counts().Slices, 3u);
+    M.terminate(TA);
+    M.spawn("b", std::make_unique<TimedBurst>(1 * MSec, B));
+  });
+  Sim.run();
+  EXPECT_EQ(A, 0u); // never finished on its own
+  EXPECT_EQ(B, 10 * MSec + Sw + 1 * MSec);
+  EXPECT_EQ(M.counts().Slices, 4u);
+  EXPECT_EQ(M.counts().CtxSwitches, 1u);
+  EXPECT_EQ(M.busyCoreTime(), 11 * MSec + Sw);
+  EXPECT_EQ(M.threadsAlive(), 0u);
+}
+
 TEST(BoundedQueue, BasicOps) {
   BoundedQueue<int> Q(2);
   EXPECT_TRUE(Q.empty());
