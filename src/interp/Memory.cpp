@@ -25,8 +25,23 @@ void Memory::store(int Id, std::int64_t Index, std::int64_t Value) {
   V[static_cast<std::size_t>(Index)] = Value;
 }
 
+std::uint64_t Memory::digest() const {
+  std::uint64_t H = 0xcbf29ce484222325ull;
+  auto Mix = [&H](std::uint64_t W) {
+    H ^= W;
+    H *= 0x100000001b3ull;
+  };
+  for (const auto &[Id, Cells] : Objects) {
+    Mix(static_cast<std::uint64_t>(Id));
+    Mix(Cells.size());
+    for (std::int64_t C : Cells)
+      Mix(static_cast<std::uint64_t>(C));
+  }
+  return H;
+}
+
 std::int64_t parcae::ir::mixValues(std::int64_t Callee,
-                                   const std::vector<std::int64_t> &Args) {
+                                   std::span<const std::int64_t> Args) {
   std::uint64_t H = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(Callee + 1);
   for (std::int64_t A : Args) {
     H ^= static_cast<std::uint64_t>(A) + 0x9e3779b97f4a7c15ull + (H << 6) +
@@ -39,7 +54,7 @@ std::int64_t parcae::ir::mixValues(std::int64_t Callee,
 }
 
 std::int64_t parcae::ir::evalCall(const Instruction &I,
-                                  const std::vector<std::int64_t> &Args,
+                                  std::span<const std::int64_t> Args,
                                   Memory &M) {
   assert(I.Op == Opcode::Call && "evalCall on a non-call");
   std::int64_t Result = mixValues(I.Imm, Args);

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 namespace parcae::ir {
@@ -36,6 +37,11 @@ public:
 
   bool operator==(const Memory &O) const { return Objects == O.Objects; }
 
+  /// A 64-bit FNV-1a-style digest (one xor-multiply step per 64-bit word)
+  /// of every object's id, size and cells, in object-id order: equal
+  /// memories have equal digests.
+  std::uint64_t digest() const;
+
   /// Wipes everything (fresh run).
   void clear() { Objects.clear(); }
 
@@ -44,12 +50,12 @@ private:
 };
 
 /// Deterministic value mixer used by Call semantics.
-std::int64_t mixValues(std::int64_t Callee, const std::vector<std::int64_t> &Args);
+std::int64_t mixValues(std::int64_t Callee, std::span<const std::int64_t> Args);
 
 /// Executes a Call instruction: returns its result and applies its
 /// (commutative) side effect on the call's memory object, if any.
-std::int64_t evalCall(const Instruction &I,
-                      const std::vector<std::int64_t> &Args, Memory &M);
+std::int64_t evalCall(const Instruction &I, std::span<const std::int64_t> Args,
+                      Memory &M);
 
 } // namespace parcae::ir
 

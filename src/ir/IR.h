@@ -136,8 +136,13 @@ public:
   Instruction *emit(BasicBlock *B, Opcode Op, std::vector<ValueId> Uses = {},
                     std::string InstName = "");
 
-  /// Number of SSA values created so far.
+  /// Number of instructions created so far (instruction ids are dense in
+  /// [0, numInsts())).
   unsigned numInsts() const { return NextInst; }
+
+  /// Number of SSA values created so far (value ids are dense in
+  /// [0, numValues())).
+  unsigned numValues() const { return static_cast<unsigned>(NextValue); }
 
   std::vector<std::unique_ptr<BasicBlock>> &blocks() { return Blocks; }
   const std::vector<std::unique_ptr<BasicBlock>> &blocks() const {

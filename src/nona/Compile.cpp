@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
 #include <limits>
 
 using namespace parcae::ir;
@@ -223,6 +224,12 @@ bool parcae::ir::checkCoalescenceInvariant(const PDG &P,
 //===----------------------------------------------------------------------===//
 // Execution engine shared by all lowered variants
 //===----------------------------------------------------------------------===//
+//
+// Everything the interpreter would look up by key is resolved to a dense
+// index when the loop is lowered: values live in a register file indexed
+// by ValueId, recurrences in a table indexed by instruction id, and join
+// points in a table indexed by block id (DESIGN.md, "Nona execution
+// engine").
 
 namespace {
 
@@ -284,78 +291,125 @@ struct ReductionState {
   }
 };
 
+/// How the interpreter treats one instruction.
+enum class InstKind : std::uint8_t {
+  Plain,           ///< evaluated by the task that owns it
+  InductionPhi,    ///< recomputed by every task from the iteration index
+  ReductionPhi,    ///< its value lives in the privatized partials
+  CarriedPhi,      ///< any other header phi: the previous iteration's value
+  ReductionUpdate, ///< accumulated into the privatized partials
+};
+
+/// Recurrence data of one instruction.
+struct InstInfo {
+  InstKind Kind = InstKind::Plain;
+  /// Induction phis: the step value; reduction updates: the non-phi
+  /// operand.
+  ValueId Operand = NoValue;
+  std::int64_t Init = 0;         ///< induction and carried phis
+  std::int64_t Step = 0;         ///< induction phis
+  std::int64_t Carried = 0;      ///< carried phis: the last committed value
+  bool HasCarried = false;       ///< carried phis: committed since seedState
+  ReductionState *Red = nullptr; ///< reduction phis and updates
+};
+
 /// Shared execution state of one compiled loop (persists across scheme
 /// switches, exactly like the program's heap does in the real system).
 struct ExecState {
   const Function &F;
   Memory Mem;
-  std::map<ValueId, std::int64_t> LiveIns;
-  std::map<const BasicBlock *, const BasicBlock *> IPDomInLoop;
   double WorkScale = 1.0;
-  std::uint64_t TripCount = 0;
 
-  // Recurrences.
-  std::map<unsigned, RecurrenceInfo> InductionByPhi; ///< phi id -> info
-  std::map<unsigned, std::int64_t> InductionInit;    ///< phi id -> init
-  std::map<unsigned, std::int64_t> InductionStep;    ///< phi id -> step
-  std::map<unsigned, ReductionState> RedByUpdate;    ///< update id -> state
-  std::map<unsigned, unsigned> RedUpdateByPhi;       ///< phi id -> update id
-  std::map<unsigned, std::int64_t> CarriedPhi;       ///< other phis: value
-  std::map<unsigned, std::int64_t> CarriedPhiInit;
-
-  const Instruction *TailBranch = nullptr;
+  std::deque<ReductionState> Reductions; ///< stable: InstInfo::Red points in
+  std::vector<InstInfo> Insts;            ///< by instruction id
+  /// Immediate post-dominator of each loop block, by block id (null for
+  /// other blocks): where a task that cannot evaluate a branch resumes.
+  std::vector<const BasicBlock *> IPDomInLoop;
+  /// The register file every iteration starts from: the preheader's
+  /// values (the body of Tinit), by ValueId.
+  std::vector<std::int64_t> LiveIns;
+  std::vector<char> LiveInDefined;
 
   explicit ExecState(const Function &F) : F(F) {}
+  ExecState(const ExecState &) = delete;
+  ExecState &operator=(const ExecState &) = delete;
 };
 
-/// Per-task lowering data captured by the task's functor.
+/// Per-task lowering data captured by the task's functor, plus the task's
+/// scratch register file. One TaskLower serves every instance of its task
+/// (all DOANY workers, say). Sharing the scratch state is safe because the
+/// simulator is single-threaded and a functor always runs to completion
+/// before another starts, so no two iterations ever use it at once.
 struct TaskLower {
   std::shared_ptr<ExecState> St;
-  bool FullOwnership = false;
   bool IsHead = false;
-  bool OwnsTailBranch = false;
   std::vector<char> Owned;                    ///< by instruction id
   std::vector<std::vector<ValueId>> InVals;   ///< per in-link payload
   std::vector<std::vector<ValueId>> OutVals;  ///< per out-link payload
-};
 
-std::int64_t envGet(const std::map<ValueId, std::int64_t> &Env, ValueId V) {
-  auto It = Env.find(V);
-  assert(It != Env.end() && "value not available in this task");
-  return It->second;
-}
+  // Scratch, overwritten by every iteration.
+  std::vector<std::int64_t> Regs; ///< by ValueId
+  std::vector<char> Defined;      ///< by ValueId: Regs holds a value
+  std::vector<std::int64_t> Args; ///< operands of the current Call
+
+  TaskLower(std::shared_ptr<ExecState> S, bool IsHead, bool OwnsAll)
+      : St(std::move(S)), IsHead(IsHead),
+        Owned(St->F.numInsts(), OwnsAll ? 1 : 0),
+        Regs(St->F.numValues(), 0), Defined(St->F.numValues(), 0) {}
+};
 
 /// Executes iteration Ctx.Seq of this task's slice; fills cost, critical
 /// sections, output payloads, and the end-of-stream flag.
-void runIteration(const TaskLower &T, rt::IterationContext &Ctx) {
+void runIteration(TaskLower &T, rt::IterationContext &Ctx) {
   ExecState &St = *T.St;
   const Loop &L = St.F.TheLoop;
-  std::map<ValueId, std::int64_t> Env = St.LiveIns;
+  T.Regs = St.LiveIns;
+  T.Defined = St.LiveInDefined;
+
+  auto Get = [&T](ValueId V) {
+    assert(T.Defined[V] && "value not available in this task");
+    return T.Regs[V];
+  };
+  auto Set = [&T](ValueId V, std::int64_t X) {
+    T.Regs[V] = X;
+    T.Defined[V] = 1;
+  };
 
   // Ingest payloads (head tasks receive the raw work token instead).
   if (!T.IsHead) {
     assert(Ctx.In.size() == T.InVals.size() && "in-link payload mismatch");
     for (std::size_t I = 0; I < Ctx.In.size(); ++I) {
-      auto Vals =
-          std::static_pointer_cast<std::vector<std::int64_t>>(Ctx.In[I].Ref);
+      const auto *Vals =
+          static_cast<const std::vector<std::int64_t> *>(Ctx.In[I].Ref.get());
       assert(Vals && Vals->size() == T.InVals[I].size());
       for (std::size_t J = 0; J < T.InVals[I].size(); ++J)
-        Env[T.InVals[I][J]] = (*Vals)[J];
+        Set(T.InVals[I][J], (*Vals)[J]);
     }
   }
 
-  auto Mine = [&](const Instruction &I) {
-    return T.FullOwnership || T.Owned[I.Id];
+  auto Mine = [&T](const Instruction &I) { return T.Owned[I.Id] != 0; };
+
+  // One critical section per lock, in ascending lock-id order: the order
+  // in which the worker replays them.
+  const std::size_t FirstCrit = Ctx.Criticals.size();
+  auto Critical = [&Ctx, FirstCrit](int Lock, sim::SimTime Cycles) {
+    auto It = std::lower_bound(
+        Ctx.Criticals.begin() + static_cast<std::ptrdiff_t>(FirstCrit),
+        Ctx.Criticals.end(), Lock,
+        [](const rt::CriticalSection &C, int L) { return C.LockId < L; });
+    if (It != Ctx.Criticals.end() && It->LockId == Lock)
+      It->Cycles += Cycles;
+    else
+      Ctx.Criticals.insert(It, {Lock, Cycles});
   };
 
   std::int64_t Seq = static_cast<std::int64_t>(Ctx.Seq);
   sim::SimTime Cost = 0;
-  std::map<int, sim::SimTime> CritCost;
   bool ContinueCond = true;
   bool SawTailCond = false;
 
   const BasicBlock *B = L.Header;
-  unsigned Guard = 0;
+  [[maybe_unused]] unsigned Guard = 0;
   while (true) {
     assert(++Guard < 100000 && "runaway iteration walk");
     for (const auto &IP : B->Insts) {
@@ -363,110 +417,95 @@ void runIteration(const TaskLower &T, rt::IterationContext &Ctx) {
       if (I.isBranch())
         break;
 
-      if (I.isPhi()) {
-        auto Ind = St.InductionByPhi.find(I.Id);
-        if (Ind != St.InductionByPhi.end()) {
-          // Induction: every task recomputes locally from the iteration
-          // index (the relaxed recurrence of Section 4.1).
-          Env[I.Def] =
-              St.InductionInit.at(I.Id) + St.InductionStep.at(I.Id) * Seq;
-          if (Mine(I))
-            Cost += I.Latency;
-          continue;
-        }
-        if (St.RedUpdateByPhi.count(I.Id))
-          continue; // reduction phi: value lives in privatized partials
+      InstInfo &Info = St.Insts[I.Id];
+      switch (Info.Kind) {
+      case InstKind::InductionPhi:
+        // Every task recomputes it locally from the iteration index (the
+        // relaxed recurrence of Section 4.1).
+        Set(I.Def, Info.Init + Info.Step * Seq);
+        if (Mine(I))
+          Cost += I.Latency;
+        continue;
+      case InstKind::ReductionPhi:
+        continue;
+      case InstKind::CarriedPhi:
         if (Mine(I)) {
-          // Ordinary carried phi: sequential task, iterations in order.
-          Env[I.Def] = Ctx.Seq == 0 ? St.CarriedPhiInit.at(I.Id)
-                                    : St.CarriedPhi.at(I.Id);
+          // Sequential task, iterations in order.
+          assert((Ctx.Seq == 0 || Info.HasCarried) &&
+                 "carried phi read before its first commit");
+          Set(I.Def, Ctx.Seq == 0 ? Info.Init : Info.Carried);
           Cost += I.Latency;
         }
         continue;
-      }
-
-      // Non-induction reduction update: accumulate privately.
-      bool IsRedUpdate = false;
-      for (auto &[UpdId, Red] : St.RedByUpdate) {
-        if (UpdId != I.Id)
-          continue;
-        IsRedUpdate = true;
+      case InstKind::ReductionUpdate:
         if (Mine(I)) {
-          // The non-phi operand.
-          const Instruction *Phi = St.F.instById(Red.Info.PhiId);
-          ValueId Other =
-              I.Uses[0] == Phi->Def ? I.Uses[1] : I.Uses[0];
-          Red.apply(Ctx.Slot, envGet(Env, Other));
+          Info.Red->apply(Ctx.Slot, Get(Info.Operand));
           Cost += I.Latency;
         }
+        continue;
+      case InstKind::Plain:
         break;
       }
-      if (IsRedUpdate)
-        continue;
 
       if (!Mine(I))
         continue; // value arrives by payload if this task needs it
 
       switch (I.Op) {
       case Opcode::Const:
-        Env[I.Def] = I.Imm;
+        Set(I.Def, I.Imm);
         break;
       case Opcode::Add:
-        Env[I.Def] = envGet(Env, I.Uses[0]) + envGet(Env, I.Uses[1]);
+        Set(I.Def, Get(I.Uses[0]) + Get(I.Uses[1]));
         break;
       case Opcode::Sub:
-        Env[I.Def] = envGet(Env, I.Uses[0]) - envGet(Env, I.Uses[1]);
+        Set(I.Def, Get(I.Uses[0]) - Get(I.Uses[1]));
         break;
       case Opcode::Mul:
-        Env[I.Def] = envGet(Env, I.Uses[0]) * envGet(Env, I.Uses[1]);
+        Set(I.Def, Get(I.Uses[0]) * Get(I.Uses[1]));
         break;
       case Opcode::Mod: {
-        std::int64_t D = envGet(Env, I.Uses[1]);
+        std::int64_t D = Get(I.Uses[1]);
         assert(D > 0 && "mod by non-positive divisor");
-        Env[I.Def] = envGet(Env, I.Uses[0]) % D;
+        Set(I.Def, Get(I.Uses[0]) % D);
         break;
       }
       case Opcode::Min:
-        Env[I.Def] =
-            std::min(envGet(Env, I.Uses[0]), envGet(Env, I.Uses[1]));
+        Set(I.Def, std::min(Get(I.Uses[0]), Get(I.Uses[1])));
         break;
       case Opcode::Max:
-        Env[I.Def] =
-            std::max(envGet(Env, I.Uses[0]), envGet(Env, I.Uses[1]));
+        Set(I.Def, std::max(Get(I.Uses[0]), Get(I.Uses[1])));
         break;
       case Opcode::CmpLt:
-        Env[I.Def] =
-            envGet(Env, I.Uses[0]) < envGet(Env, I.Uses[1]) ? 1 : 0;
+        Set(I.Def, Get(I.Uses[0]) < Get(I.Uses[1]) ? 1 : 0);
         break;
       case Opcode::Load: {
-        std::int64_t Idx = I.Uses.empty() ? 0 : envGet(Env, I.Uses[0]);
-        Env[I.Def] = St.Mem.load(I.MemObject, Idx);
+        std::int64_t Idx = I.Uses.empty() ? 0 : Get(I.Uses[0]);
+        Set(I.Def, St.Mem.load(I.MemObject, Idx));
         if (I.Commutative)
-          CritCost[I.MemObject] += I.Latency;
+          Critical(I.MemObject, I.Latency);
         else
           Cost += I.Latency;
         break;
       }
       case Opcode::Store: {
-        std::int64_t Idx =
-            I.Uses.size() < 2 ? 0 : envGet(Env, I.Uses[0]);
-        std::int64_t V = envGet(Env, I.Uses.back());
+        std::int64_t Idx = I.Uses.size() < 2 ? 0 : Get(I.Uses[0]);
+        std::int64_t V = Get(I.Uses.back());
         St.Mem.store(I.MemObject, Idx, V);
         if (I.Commutative)
-          CritCost[I.MemObject] += I.Latency;
+          Critical(I.MemObject, I.Latency);
         else
           Cost += I.Latency;
         break;
       }
       case Opcode::Call: {
-        std::vector<std::int64_t> Args;
+        T.Args.clear();
         for (ValueId U : I.Uses)
-          Args.push_back(envGet(Env, U));
-        Env[I.Def] = evalCall(I, Args, St.Mem);
+          T.Args.push_back(Get(U));
+        Set(I.Def, evalCall(I, T.Args, St.Mem));
         auto Lat = static_cast<sim::SimTime>(
             static_cast<double>(I.Latency) * St.WorkScale);
         if (I.Commutative && I.MemObject >= 0)
-          CritCost[I.MemObject] += Lat;
+          Critical(I.MemObject, Lat);
         else
           Cost += Lat;
         break;
@@ -481,8 +520,8 @@ void runIteration(const TaskLower &T, rt::IterationContext &Ctx) {
 
     const Instruction *Term = B->terminator();
     if (B == L.Tail) {
-      if (T.FullOwnership || T.Owned[Term->Id]) {
-        ContinueCond = envGet(Env, Term->Uses[0]) != 0;
+      if (Mine(*Term)) {
+        ContinueCond = Get(Term->Uses[0]) != 0;
         SawTailCond = true;
         Cost += Term->Latency;
       }
@@ -495,26 +534,26 @@ void runIteration(const TaskLower &T, rt::IterationContext &Ctx) {
     // In-loop conditional: follow it if the condition is available,
     // otherwise no instruction of this task lives inside the region —
     // jump straight to the join point.
-    auto It = Env.find(Term->Uses[0]);
-    if (It != Env.end()) {
-      if (T.FullOwnership || T.Owned[Term->Id])
+    ValueId Cond = Term->Uses[0];
+    if (T.Defined[Cond]) {
+      if (Mine(*Term))
         Cost += Term->Latency;
-      B = It->second != 0 ? B->Succs[0] : B->Succs[1];
+      B = T.Regs[Cond] != 0 ? B->Succs[0] : B->Succs[1];
     } else {
-      B = St.IPDomInLoop.at(B);
+      B = St.IPDomInLoop[B->Id];
+      assert(B && "in-loop branch without a post-dominator");
     }
   }
 
   // Commit carried phis this task owns.
   for (const auto &IP : L.Header->Insts) {
     const Instruction &I = *IP;
-    if (!I.isPhi() || !Mine(I))
+    InstInfo &Info = St.Insts[I.Id];
+    if (Info.Kind != InstKind::CarriedPhi || !Mine(I))
       continue;
-    if (St.InductionByPhi.count(I.Id) || St.RedUpdateByPhi.count(I.Id))
-      continue;
-    auto It = Env.find(I.Uses[1]);
-    assert(It != Env.end() && "carried value not computed by its task");
-    St.CarriedPhi[I.Id] = It->second;
+    assert(T.Defined[I.Uses[1]] && "carried value not computed by its task");
+    Info.Carried = T.Regs[I.Uses[1]];
+    Info.HasCarried = true;
   }
 
   // Uncounted loops: the task owning the exit branch ends the stream.
@@ -526,17 +565,121 @@ void runIteration(const TaskLower &T, rt::IterationContext &Ctx) {
   for (std::size_t K = 0; K < T.OutVals.size(); ++K) {
     auto Vals = std::make_shared<std::vector<std::int64_t>>();
     Vals->reserve(T.OutVals[K].size());
-    for (ValueId V : T.OutVals[K]) {
-      auto It = Env.find(V);
-      // Values defined on untaken paths are never read downstream.
-      Vals->push_back(It == Env.end() ? 0 : It->second);
-    }
+    // Values defined on untaken paths are never read downstream.
+    for (ValueId V : T.OutVals[K])
+      Vals->push_back(T.Defined[V] ? T.Regs[V] : 0);
     Ctx.Out[K].Ref = std::move(Vals);
   }
 
   Ctx.Cost = Cost;
-  for (auto [Obj, Cycles] : CritCost)
-    Ctx.Criticals.push_back({Obj, Cycles});
+}
+
+/// Evaluates the preheader once (the body of Tinit) into the live-in
+/// register image, and seeds recurrence/carried-phi initial values.
+void seedState(ExecState &St) {
+  const Loop &L = St.F.TheLoop;
+  std::fill(St.LiveIns.begin(), St.LiveIns.end(), 0);
+  std::fill(St.LiveInDefined.begin(), St.LiveInDefined.end(), 0);
+  auto Get = [&St](ValueId V) {
+    assert(St.LiveInDefined[V] && "value is not a loop live-in");
+    return St.LiveIns[V];
+  };
+  auto Set = [&St](ValueId V, std::int64_t X) {
+    St.LiveIns[V] = X;
+    St.LiveInDefined[V] = 1;
+  };
+  if (L.Preheader) {
+    for (const auto &IP : L.Preheader->Insts) {
+      const Instruction &I = *IP;
+      switch (I.Op) {
+      case Opcode::Const:
+        Set(I.Def, I.Imm);
+        break;
+      case Opcode::Add:
+        Set(I.Def, Get(I.Uses[0]) + Get(I.Uses[1]));
+        break;
+      case Opcode::Load: {
+        std::int64_t Idx = I.Uses.empty() ? 0 : Get(I.Uses[0]);
+        Set(I.Def, St.Mem.load(I.MemObject, Idx));
+        break;
+      }
+      case Opcode::Br:
+        break;
+      default:
+        assert(false && "unsupported preheader instruction");
+      }
+    }
+  }
+
+  for (ReductionState &Red : St.Reductions)
+    Red.reset();
+  for (const auto &IP : L.Header->Insts) {
+    const Instruction &I = *IP;
+    if (!I.isPhi())
+      continue;
+    std::int64_t Init = Get(I.Uses[0]);
+    InstInfo &Info = St.Insts[I.Id];
+    switch (Info.Kind) {
+    case InstKind::InductionPhi:
+      Info.Init = Init;
+      Info.Step = Get(Info.Operand);
+      break;
+    case InstKind::ReductionPhi:
+      Info.Red->Init = Init;
+      break;
+    case InstKind::CarriedPhi:
+      Info.Init = Init;
+      Info.HasCarried = false;
+      break;
+    case InstKind::Plain:
+    case InstKind::ReductionUpdate:
+      assert(false && "header phi without a recurrence kind");
+    }
+  }
+}
+
+/// The one construction path of a loop's execution state, shared by the
+/// lowered variants and the reference interpreter: the per-instruction
+/// recurrence table, the in-loop post-dominators, and the live-in image.
+std::shared_ptr<ExecState> makeExecState(const Function &F, const PDG &P) {
+  auto St = std::make_shared<ExecState>(F);
+  St->Insts.resize(F.numInsts());
+  for (const RecurrenceInfo &R : P.recurrences()) {
+    InstInfo &Phi = St->Insts[R.PhiId];
+    if (R.IsInduction) {
+      Phi.Kind = InstKind::InductionPhi;
+      Phi.Operand = R.StepValue;
+      continue;
+    }
+    ReductionState &Red = St->Reductions.emplace_back();
+    Red.Info = R;
+    Phi.Kind = InstKind::ReductionPhi;
+    Phi.Red = &Red;
+    InstInfo &Upd = St->Insts[R.UpdateId];
+    Upd.Kind = InstKind::ReductionUpdate;
+    Upd.Red = &Red;
+    const Instruction *UpdI = F.instById(R.UpdateId);
+    ValueId PhiDef = F.instById(R.PhiId)->Def;
+    Upd.Operand = UpdI->Uses[0] == PhiDef ? UpdI->Uses[1] : UpdI->Uses[0];
+  }
+  for (const auto &IP : F.TheLoop.Header->Insts)
+    if (IP->isPhi() && St->Insts[IP->Id].Kind == InstKind::Plain)
+      St->Insts[IP->Id].Kind = InstKind::CarriedPhi;
+
+  // Intra-loop immediate post-dominators for path skipping.
+  const BasicBlock *Sink = nullptr;
+  for (const auto &B : F.blocks())
+    if (B->Succs.empty())
+      Sink = B.get();
+  PostDominators PD(F, Sink);
+  St->IPDomInLoop.assign(F.blocks().size(), nullptr);
+  for (const BasicBlock *B : F.TheLoop.Blocks)
+    St->IPDomInLoop[B->Id] = PD.ipdom(B);
+
+  St->LiveIns.assign(F.numValues(), 0);
+  St->LiveInDefined.assign(F.numValues(), 0);
+  seedState(*St);
+  return St;
 }
 
 } // namespace
@@ -551,66 +694,6 @@ struct CompiledLoop::Impl {
   std::string Report;
 };
 
-namespace {
-
-/// Evaluates the preheader once (the body of Tinit) into live-in values,
-/// and seeds recurrence/carried-phi initial values.
-void seedState(ExecState &St) {
-  const Loop &L = St.F.TheLoop;
-  St.LiveIns.clear();
-  if (L.Preheader) {
-    std::map<ValueId, std::int64_t> Env;
-    for (const auto &IP : L.Preheader->Insts) {
-      const Instruction &I = *IP;
-      switch (I.Op) {
-      case Opcode::Const:
-        Env[I.Def] = I.Imm;
-        break;
-      case Opcode::Add:
-        Env[I.Def] = envGet(Env, I.Uses[0]) + envGet(Env, I.Uses[1]);
-        break;
-      case Opcode::Load: {
-        std::int64_t Idx = I.Uses.empty() ? 0 : envGet(Env, I.Uses[0]);
-        Env[I.Def] = St.Mem.load(I.MemObject, Idx);
-        break;
-      }
-      case Opcode::Br:
-        break;
-      default:
-        assert(false && "unsupported preheader instruction");
-      }
-    }
-    St.LiveIns = std::move(Env);
-  }
-
-  for (const auto &IP : L.Header->Insts) {
-    const Instruction &I = *IP;
-    if (!I.isPhi())
-      continue;
-    std::int64_t Init = 0;
-    auto It = St.LiveIns.find(I.Uses[0]);
-    assert(It != St.LiveIns.end() && "phi initial value must be a live-in");
-    Init = It->second;
-    if (St.InductionByPhi.count(I.Id)) {
-      St.InductionInit[I.Id] = Init;
-      ValueId StepV = St.InductionByPhi.at(I.Id).StepValue;
-      auto StepIt = St.LiveIns.find(StepV);
-      assert(StepIt != St.LiveIns.end() &&
-             "induction step must be a loop live-in");
-      St.InductionStep[I.Id] = StepIt->second;
-    } else if (St.RedUpdateByPhi.count(I.Id)) {
-      auto &Red = St.RedByUpdate.at(St.RedUpdateByPhi.at(I.Id));
-      Red.Init = Init;
-      Red.reset();
-    } else {
-      St.CarriedPhiInit[I.Id] = Init;
-    }
-  }
-  St.CarriedPhi.clear();
-}
-
-} // namespace
-
 CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
                            std::uint64_t TripCount, CompilerOptions Opt)
     : I(std::make_unique<Impl>()), F(F), Region(F.name()),
@@ -618,36 +701,8 @@ CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
   F.verify();
   P = std::make_unique<PDG>(F, AA);
 
-  auto St = std::make_shared<ExecState>(F);
-  St->TripCount = TripCount;
-  St->TailBranch = F.TheLoop.Tail->terminator();
+  auto St = makeExecState(F, *P);
   I->St = St;
-
-  // Recurrence tables.
-  for (const RecurrenceInfo &R : P->recurrences()) {
-    if (R.IsInduction) {
-      St->InductionByPhi[R.PhiId] = R;
-    } else {
-      ReductionState RS;
-      RS.Info = R;
-      St->RedByUpdate.emplace(R.UpdateId, std::move(RS));
-      St->RedUpdateByPhi[R.PhiId] = R.UpdateId;
-    }
-  }
-
-  // Intra-loop immediate post-dominators for path skipping.
-  {
-    const BasicBlock *Sink = nullptr;
-    for (const auto &B : F.blocks())
-      if (B->Succs.empty())
-        Sink = B.get();
-    PostDominators PD(F, Sink);
-    for (const BasicBlock *B : F.TheLoop.Blocks)
-      if (const BasicBlock *IP = PD.ipdom(B))
-        St->IPDomInLoop[B] = IP;
-  }
-
-  seedState(*St);
 
   std::string &Rep = I->Report;
   Rep = "Nona compilation of '" + F.name() + "'\n";
@@ -666,11 +721,8 @@ CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
 
   // --- SEQ variant (always) -------------------------------------------
   {
-    auto TL = std::make_shared<TaskLower>();
-    TL->St = St;
-    TL->FullOwnership = true;
-    TL->IsHead = true;
-    TL->OwnsTailBranch = true;
+    auto TL = std::make_shared<TaskLower>(St, /*IsHead=*/true,
+                                          /*OwnsAll=*/true);
     I->Lowerings.push_back(TL);
     rt::RegionDesc D;
     D.Name = F.name() + "-seq";
@@ -682,11 +734,8 @@ CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
 
   // --- DOANY variant (Section 4.3.1) ----------------------------------
   if (P->inhibitors().empty()) {
-    auto TL = std::make_shared<TaskLower>();
-    TL->St = St;
-    TL->FullOwnership = true;
-    TL->IsHead = true;
-    TL->OwnsTailBranch = true;
+    auto TL = std::make_shared<TaskLower>(St, /*IsHead=*/true,
+                                          /*OwnsAll=*/true);
     I->Lowerings.push_back(TL);
     rt::RegionDesc D;
     D.Name = F.name() + "-doany";
@@ -731,7 +780,7 @@ CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
       ValueId V = NoValue;
       if (E.Kind == DepKind::Reg) {
         // Induction-phi values are recomputed locally, never sent.
-        if (!St->InductionByPhi.count(From->Id))
+        if (St->Insts[From->Id].Kind != InstKind::InductionPhi)
           V = From->Def;
       } else if (E.Kind == DepKind::Control) {
         V = From->Uses.empty() ? NoValue : From->Uses[0];
@@ -746,15 +795,10 @@ CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
     D.S = rt::Scheme::PsDswp;
     std::vector<std::shared_ptr<TaskLower>> TLs;
     for (unsigned T = 0; T < Plan.Tasks.size(); ++T) {
-      auto TL = std::make_shared<TaskLower>();
-      TL->St = St;
-      TL->IsHead = T == 0;
-      TL->Owned.assign(F.numInsts(), 0);
-      for (unsigned Id : Plan.Tasks[T].InstIds) {
+      auto TL = std::make_shared<TaskLower>(St, /*IsHead=*/T == 0,
+                                            /*OwnsAll=*/false);
+      for (unsigned Id : Plan.Tasks[T].InstIds)
         TL->Owned[Id] = 1;
-        if (Id == St->TailBranch->Id)
-          TL->OwnsTailBranch = true;
-      }
       I->Lowerings.push_back(TL);
       TLs.push_back(TL);
       D.Tasks.push_back(MakeVariantTask(
@@ -785,17 +829,15 @@ std::unique_ptr<rt::CountedWorkSource> CompiledLoop::makeSource() const {
 
 void CompiledLoop::resetState() {
   I->St->Mem.clear();
-  for (auto &[Id, Red] : I->St->RedByUpdate)
-    Red.reset();
   seedState(*I->St);
 }
 
 Memory &CompiledLoop::memory() { return I->St->Mem; }
 
 std::int64_t CompiledLoop::reductionValue(unsigned PhiId) const {
-  auto It = I->St->RedUpdateByPhi.find(PhiId);
-  assert(It != I->St->RedUpdateByPhi.end() && "not a reduction phi");
-  return I->St->RedByUpdate.at(It->second).merged();
+  const InstInfo &Info = I->St->Insts[PhiId];
+  assert(Info.Kind == InstKind::ReductionPhi && "not a reduction phi");
+  return Info.Red->merged();
 }
 
 void CompiledLoop::setWorkScale(double S) {
@@ -811,49 +853,22 @@ Memory CompiledLoop::interpret(
   F.verify();
   AliasOracle AA; // conservative: fine for reference interpretation
   PDG P(F, AA);
-  ExecState St(F);
-  St.TripCount = TripCount;
-  St.TailBranch = F.TheLoop.Tail->terminator();
-  for (const RecurrenceInfo &R : P.recurrences()) {
-    if (R.IsInduction) {
-      St.InductionByPhi[R.PhiId] = R;
-    } else {
-      ReductionState RS;
-      RS.Info = R;
-      St.RedByUpdate.emplace(R.UpdateId, std::move(RS));
-      St.RedUpdateByPhi[R.PhiId] = R.UpdateId;
-    }
-  }
-  {
-    const BasicBlock *Sink = nullptr;
-    for (const auto &B : F.blocks())
-      if (B->Succs.empty())
-        Sink = B.get();
-    PostDominators PD(F, Sink);
-    for (const BasicBlock *B : F.TheLoop.Blocks)
-      if (const BasicBlock *IP = PD.ipdom(B))
-        St.IPDomInLoop[B] = IP;
-  }
-  seedState(St);
+  TaskLower TL(makeExecState(F, P), /*IsHead=*/true, /*OwnsAll=*/true);
+  ExecState &St = *TL.St;
 
-  TaskLower TL;
-  TL.St = std::shared_ptr<ExecState>(&St, [](ExecState *) {});
-  TL.FullOwnership = true;
-  TL.IsHead = true;
-  TL.OwnsTailBranch = true;
-
+  rt::IterationContext Ctx;
   for (std::uint64_t Iter = 0; Iter < TripCount; ++Iter) {
-    rt::IterationContext Ctx;
     Ctx.Seq = Iter;
-    Ctx.Slot = 0;
+    Ctx.Criticals.clear();
     runIteration(TL, Ctx);
     if (Ctx.EndOfStream)
       break;
   }
   if (ReductionsOut) {
     ReductionsOut->clear();
-    for (const auto &[PhiId, UpdId] : St.RedUpdateByPhi)
-      (*ReductionsOut)[PhiId] = St.RedByUpdate.at(UpdId).merged();
+    for (unsigned Id = 0; Id < St.Insts.size(); ++Id)
+      if (St.Insts[Id].Kind == InstKind::ReductionPhi)
+        (*ReductionsOut)[Id] = St.Insts[Id].Red->merged();
   }
-  return St.Mem;
+  return std::move(St.Mem);
 }

@@ -264,6 +264,72 @@ TEST(SemanticsTest, DualPipe) {
   checkSemantics([] { return makeDualPipe(300); });
 }
 
+namespace {
+
+/// FNV-1a-style fold of a reference interpretation: memory digest, then
+/// each reduction (phi id, value) in phi-id order.
+std::uint64_t referenceDigest(const LoopProgram &P) {
+  std::map<unsigned, std::int64_t> Reds;
+  std::uint64_t H = CompiledLoop::interpret(*P.F, P.TripCount, &Reds).digest();
+  for (auto [Phi, V] : Reds)
+    for (std::uint64_t W : {std::uint64_t(Phi), static_cast<std::uint64_t>(V)})
+      H = (H ^ W) * 0x100000001b3ull;
+  return H;
+}
+
+} // namespace
+
+// An oracle independent of the interpreter's current implementation:
+// every constant below was recorded on the commit before the Nona
+// interpreter moved from map environments to a dense register file, so a
+// change that broke CompiledLoop::interpret and the lowered tasks the
+// same way (which SemanticsTest cannot see) still fails here. Programs
+// and configurations are checkSemantics': SEQ, DOANY<6> and PS-DSWP with
+// parallel stages at DoP 4, each on 8 cores; 0 marks an absent variant.
+TEST(SemanticsTest, PinnedReferenceAndMakespans) {
+  struct Pin {
+    std::function<LoopProgram()> Make;
+    std::uint64_t Digest;
+    sim::SimTime Seq, DoAny, PsDswp;
+  };
+  const Pin Pins[] = {
+      {[] { return makeVecsum(300); },
+       17924150693417340825ull, 637900, 119650, 0},
+      {[] { return makeSaxpy(300); },
+       2149334721819239062ull, 487600, 94600, 126752},
+      {[] { return makeHistogram(300, 16); },
+       14077948115446355727ull, 481600, 190972, 191132},
+      {[] { return makeMonteCarlo(300); },
+       1465998748419483495ull, 4681900, 796050, 0},
+      {[] { return makeChase(300); },
+       16557768245686935362ull, 6277900, 0, 1546194},
+      {[] { return makeBranchy(300); },
+       3447894955470612168ull, 5959900, 1013104, 1649235},
+      {[] { return makeSeqchain(300); },
+       9185709374123297370ull, 2482900, 0, 2467022},
+      {[] { return makeMinMax(300); },
+       6346734598701819310ull, 1538200, 269700, 0},
+      {[] { return makeDualPipe(300); },
+       18041143038119219338ull, 14708200, 0, 3503014},
+  };
+  for (const Pin &Want : Pins) {
+    LoopProgram P = Want.Make();
+    CompiledLoop CL(*P.F, P.AA, P.TripCount);
+    auto Makespan = [&](rt::Scheme S, bool Present, unsigned DoP) {
+      return Present ? runCompiled(CL, configFor(CL, S, DoP), 8).Time
+                     : sim::SimTime(0);
+    };
+    Pin Got{nullptr, referenceDigest(Want.Make()),
+            Makespan(rt::Scheme::Seq, true, 1),
+            Makespan(rt::Scheme::DoAny, CL.hasDoAny(), 6),
+            Makespan(rt::Scheme::PsDswp, CL.hasPsDswp(), 4)};
+    EXPECT_TRUE(Got.Digest == Want.Digest && Got.Seq == Want.Seq &&
+                Got.DoAny == Want.DoAny && Got.PsDswp == Want.PsDswp)
+        << P.Name << ": got {" << Got.Digest << "ull, " << Got.Seq << ", "
+        << Got.DoAny << ", " << Got.PsDswp << "}";
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Performance shape
 //===----------------------------------------------------------------------===//
