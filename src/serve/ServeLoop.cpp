@@ -348,15 +348,27 @@ void ServeLoop::completeMember(unsigned Idx, ServeRequest &R) {
   if (C.Desc.Slo.enabled() && R.totalLatency() > C.Desc.Slo.Target)
     ++C.Stats.SloViolations;
 
-  C.RecentSec.emplace_back(R.CompletedAt, sim::toSeconds(R.totalLatency()));
+  double LatSec = sim::toSeconds(R.totalLatency());
+  C.RecentSec.emplace_back(R.CompletedAt, LatSec);
+  C.RecentSorted.insert(std::upper_bound(C.RecentSorted.begin(),
+                                         C.RecentSorted.end(), LatSec),
+                        LatSec);
   while (C.RecentSec.size() > ClassState::RecentCap ||
          (!C.RecentSec.empty() &&
           C.RecentSec.front().first + ClassState::RecentWindow <
               R.CompletedAt))
-    C.RecentSec.pop_front();
-  C.RecentDirty = true;
+    C.popRecent();
 
   finalize(Idx, R);
+}
+
+void ServeLoop::ClassState::popRecent() const {
+  double Oldest = RecentSec.front().second;
+  auto It = std::lower_bound(RecentSorted.begin(), RecentSorted.end(), Oldest);
+  assert(It != RecentSorted.end() && *It == Oldest &&
+         "sorted window out of step with RecentSec");
+  RecentSorted.erase(It);
+  RecentSec.pop_front();
 }
 
 void ServeLoop::finish(unsigned Idx, InFlight *F) {
@@ -507,25 +519,11 @@ double ServeLoop::recentLatencySec(unsigned Idx, double P) const {
   assert(Idx < Classes.size());
   const ClassState &C = *Classes[Idx];
   while (!C.RecentSec.empty() &&
-         C.RecentSec.front().first + ClassState::RecentWindow < Sim.now()) {
-    C.RecentSec.pop_front();
-    C.RecentDirty = true;
-  }
+         C.RecentSec.front().first + ClassState::RecentWindow < Sim.now())
+    C.popRecent();
   double Lat = -1.0;
-  if (!C.RecentSec.empty()) {
-    // Rebuild the cached sample set only when the window changed; the
-    // arbiter probes every tick and used to copy + sort the window each
-    // time. SampleSet's sorted-order cache then makes repeated
-    // percentile queries between completions sort-free (pinned by
-    // recentProbeSorts()).
-    if (C.RecentDirty) {
-      C.RecentSorted.clear();
-      for (const auto &E : C.RecentSec)
-        C.RecentSorted.add(E.second);
-      C.RecentDirty = false;
-    }
-    Lat = C.RecentSorted.percentile(P);
-  }
+  if (!C.RecentSorted.empty())
+    Lat = C.RecentSorted[nearestRankIndex(P, C.RecentSorted.size())];
   // Floor by the head-of-line wait (queued or forming): when requests
   // wait faster than they finish, the queue itself is the latency signal.
   const ServeRequest *Oldest = nullptr;
@@ -549,9 +547,4 @@ std::uint64_t ServeLoop::inFlightRequests(unsigned Idx) const {
   for (const auto &F : Classes[Idx]->Active)
     N += F->Members.size() - F->Attributed;
   return N;
-}
-
-std::uint64_t ServeLoop::recentProbeSorts(unsigned Idx) const {
-  assert(Idx < Classes.size());
-  return Classes[Idx]->RecentSorted.sortsPerformed();
 }

@@ -140,11 +140,6 @@ public:
   /// class has no signal yet.
   double recentLatencySec(unsigned Idx, double P) const;
 
-  /// Sorts the recent-latency probe performed for this class: stays
-  /// flat across repeated probes between completions (the SLO probe's
-  /// sorted-order cache; regression tests pin this).
-  std::uint64_t recentProbeSorts(unsigned Idx) const;
-
   /// Fires once per finished request (completed, shed, or rejected) —
   /// benches use it to bucket requests into load phases by arrival
   /// time. Rejected requests carry Rejected = true and no timestamps
@@ -214,12 +209,14 @@ private:
     static constexpr sim::SimTime RecentWindow = 150 * sim::MSec;
     static constexpr std::size_t RecentCap = 512;
     mutable std::deque<std::pair<sim::SimTime, double>> RecentSec;
-    /// Sorted-order cache over RecentSec's latencies: rebuilt (and
-    /// re-sorted once) only when the window's contents changed since
-    /// the last probe, so repeated SLO probes between completions are
-    /// sort-free. mutable for the same reason as RecentSec.
-    mutable SampleSet RecentSorted;
-    mutable bool RecentDirty = true;
+    /// RecentSec's latencies in ascending order, kept in step with it
+    /// (insert at upper_bound on completion, erase at lower_bound on each
+    /// pop_front), so a probe is one nearest-rank index lookup. mutable
+    /// for the same reason as RecentSec.
+    mutable std::vector<double> RecentSorted;
+
+    /// Drops the window's oldest completion from both views.
+    void popRecent() const;
   };
 
   void scheduleArrival(unsigned Idx);

@@ -37,6 +37,9 @@ void Waitable::notifyOne() {
 Machine::Machine(Simulator &Sim, unsigned NumCores, MachineConfig Cfg)
     : Sim(Sim), Cfg(Cfg), Cores(NumCores), OnlineCount(NumCores) {
   assert(NumCores > 0 && "machine needs at least one core");
+  // A nominal-rate core must never read as slow: quantum coalescing and
+  // the rate sensor's no-op skip both rely on it.
+  assert(Cfg.SlowCoreThreshold <= 1.0 && "threshold above nominal rate");
   Tel = telemetry::recorder();
   if (Tel) {
     Tel->bindClock(Sim);
@@ -572,6 +575,12 @@ void Machine::endSlice(unsigned CoreIdx, SimThread *T, SimTime SliceLen,
 
 void Machine::noteSliceRate(unsigned CoreIdx) {
   Core &C = Cores[CoreIdx];
+  // A nominal-rate slice on a nominal, unpenalized core leaves the EWMA
+  // at exactly 1.0 with no penalty transition (SlowCoreThreshold <= 1),
+  // and coreRate() reads 1.0 whether or not RateSampledAt is refreshed:
+  // the sample is a no-op. The same conditions make coalescible() hold.
+  if (C.SliceDilation == 1.0 && C.Rate == 1.0 && !C.PenalizedMark)
+    return;
   SimTime Now = Sim.now();
   // One slice contributes its wall time's worth of evidence, saturating
   // at a full replacement after RateTau of continuous observation.

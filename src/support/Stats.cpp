@@ -51,6 +51,14 @@ void Histogram::add(double X) {
   }
 }
 
+std::size_t parcae::nearestRankIndex(double P, std::size_t N) {
+  assert(P >= 0 && P <= 100 && "percentile must be in [0, 100]");
+  assert(N > 0 && "percentile of no samples");
+  std::size_t Rank = static_cast<std::size_t>(
+      std::ceil(P / 100.0 * static_cast<double>(N)));
+  return std::clamp<std::size_t>(Rank, 1, N) - 1;
+}
+
 double SampleSet::percentile(double P) const {
   // Validate before the empty early-out: an out-of-range P is a caller
   // bug regardless of whether any samples have arrived yet.
@@ -63,13 +71,5 @@ double SampleSet::percentile(double P) const {
     SortedValid = true;
     ++Sorts;
   }
-  if (P <= 0)
-    return Sorted.front();
-  std::size_t Rank = static_cast<std::size_t>(
-      std::ceil(P / 100.0 * static_cast<double>(Sorted.size())));
-  if (Rank == 0)
-    Rank = 1;
-  if (Rank > Sorted.size())
-    Rank = Sorted.size();
-  return Sorted[Rank - 1];
+  return Sorted[nearestRankIndex(P, Sorted.size())];
 }

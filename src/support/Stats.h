@@ -72,8 +72,15 @@ private:
   bool Seeded = false;
 };
 
-/// Holds all samples; answers percentile queries. Used only by benchmark
-/// harnesses, where sample counts are small.
+/// Nearest-rank percentile: the 0-based index, into \p N > 0 samples in
+/// ascending order, of the sample at percentile \p P in [0, 100] (the
+/// ceil(P/100 * N)-th smallest, and the smallest at P = 0). The one rank
+/// rule behind SampleSet and the serve broker's SLO window.
+std::size_t nearestRankIndex(double P, std::size_t N);
+
+/// Holds all samples; answers percentile queries by sorting a copy once
+/// per mutation. Used by Histogram (so the telemetry metrics registry and
+/// the serve latency statistics) and by the benchmark harnesses.
 class SampleSet {
 public:
   void add(double X) {
@@ -90,15 +97,6 @@ public:
   double max() const { return percentile(100); }
   /// Drops every other recorded sample (bounds memory on long runs).
   void decimate();
-
-  /// Forgets every sample but keeps the sort counter running, so a
-  /// caller rebuilding a windowed set in place (the serve broker's
-  /// recent-latency probe) stays pinned by sortsPerformed().
-  void clear() {
-    Samples.clear();
-    Sorted.clear();
-    SortedValid = false;
-  }
 
   /// Times percentile() actually sorted (a cache rebuild). Regression
   /// tests pin the caching contract with this: repeated queries between

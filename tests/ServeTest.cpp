@@ -5,7 +5,8 @@
 // broker end-to-end on a small machine, and the platform daemon's tenant
 // interface — slack handoff, the ShrunkToFit oscillation guard, and the
 // SLO arbitration pass (violator gains from meeter, hand-back on load
-// drop) — plus the percentile-cache regression for the stats layer.
+// drop) — plus the SLO window checked against a brute-force nearest
+// rank and the percentile-cache regression for the stats layer.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -661,53 +663,93 @@ TEST(ServeLoop, RejectedRequestsReachOnRequestDone) {
   EXPECT_EQ(Serve.stats(Idx).Completed, 2u);
 }
 
-TEST(ServeLoop, RecentLatencyProbeSortsOncePerCompletion) {
+/// Nearest-rank percentile of \p Window, computed from scratch.
+double bruteNearestRank(std::vector<double> Window, double P) {
+  std::sort(Window.begin(), Window.end());
+  double N = static_cast<double>(Window.size());
+  std::size_t Rank = static_cast<std::size_t>(std::ceil(P / 100.0 * N));
+  Rank = std::min(std::max<std::size_t>(Rank, 1), Window.size());
+  return Window[Rank - 1];
+}
+
+TEST(ServeLoop, RecentLatencyWindowMatchesBruteForce) {
   sim::Simulator Sim;
-  sim::Machine M(Sim, 4);
+  sim::Machine M(Sim, 8);
   rt::RuntimeCosts Costs;
-  rt::PlatformDaemon Daemon(4);
+  rt::PlatformDaemon Daemon(8);
   ServeLoop Serve(M, Costs, Daemon);
 
+  // Four consecutive requests share a service cost, so the window holds
+  // tied latencies; the cost grows with the request id, so a window that
+  // kept an evicted (older, cheaper) latency reads differently.
   RequestClassDesc D;
-  D.Name = "probe";
-  D.MakeRegion = [](const ServeRequest &) {
-    return makeServiceRegion("probe", 60000);
+  D.Name = "window";
+  D.MakeRegion = [](const ServeRequest &R) {
+    return makeServiceRegion("window", 10000 + 1000 * (R.Id / 4));
   };
-  D.ItersPerRequest = 4;
-  D.Config = {rt::Scheme::DoAny, {2}};
+  D.Config = {rt::Scheme::DoAny, {1}};
   unsigned Idx = Serve.addClass(std::move(D));
 
-  for (int I = 0; I < 6; ++I)
-    EXPECT_TRUE(Serve.inject(Idx));
+  // Every completion as (time, latency): the window at time T is the
+  // last 512 of them (ClassState::RecentCap) that are no older than
+  // 150 ms (ClassState::RecentWindow).
+  std::vector<std::pair<sim::SimTime, double>> Log;
+  Serve.OnRequestDone = [&](const ServeRequest &R) {
+    ASSERT_FALSE(R.Rejected || R.Shed);
+    Log.emplace_back(R.CompletedAt, sim::toSeconds(R.totalLatency()));
+  };
+  std::size_t Probes = 0, MaxWindow = 0, MaxTies = 0;
+  auto Probe = [&] {
+    ASSERT_EQ(Serve.queueDepth(Idx), 0u) << "head-of-line floor in play";
+    std::vector<double> Window;
+    for (std::size_t I = Log.size() > 512 ? Log.size() - 512 : 0;
+         I < Log.size(); ++I)
+      if (Log[I].first + 150 * sim::MSec >= Sim.now())
+        Window.push_back(Log[I].second);
+    for (double P : {0.0, 1.0, 50.0, 95.0, 99.0, 100.0}) {
+      double Got = Serve.recentLatencySec(Idx, P);
+      if (Window.empty())
+        EXPECT_LT(Got, 0.0) << "P" << P << " at " << Sim.now();
+      else
+        EXPECT_EQ(Got, bruteNearestRank(Window, P))
+            << "P" << P << " at " << Sim.now() << " over "
+            << Window.size() << " completions";
+    }
+    std::sort(Window.begin(), Window.end());
+    std::size_t Ties = Window.size() - static_cast<std::size_t>(
+        std::unique(Window.begin(), Window.end()) - Window.begin());
+    MaxWindow = std::max(MaxWindow, Window.size());
+    MaxTies = std::max(MaxTies, Ties);
+    ++Probes;
+  };
+  auto InjectEvery = [&](sim::SimTime From, sim::SimTime Gap, int N) {
+    for (int I = 0; I < N; ++I)
+      Sim.schedule(From + I * Gap, [&] { EXPECT_TRUE(Serve.inject(Idx)); });
+  };
+  auto ProbeEvery = [&](sim::SimTime From, sim::SimTime To) {
+    for (sim::SimTime T = From; T < To; T += sim::MSec)
+      Sim.schedule(T, Probe);
+  };
+
+  // 600 completions inside 90 ms: the 512 cap evicts in completeMember.
+  InjectEvery(0, 150 * sim::USec, 600);
+  ProbeEvery(sim::MSec, 90 * sim::MSec);
+  // No probe from 90 ms on, so the completions at 200 ms are the first
+  // to see the 0-50 ms entries expire: completeMember ages them out.
+  InjectEvery(200 * sim::MSec, 200 * sim::USec, 20);
+  // The first probe at 260 ms ages the rest of the 90 ms burst out
+  // itself; later completions must find the window consistent.
+  ProbeEvery(260 * sim::MSec, 400 * sim::MSec);
+  InjectEvery(280 * sim::MSec, 300 * sim::USec, 40);
+  // Long after the last completion the window is empty: no signal.
+  Sim.schedule(600 * sim::MSec, Probe);
   Sim.run();
-  EXPECT_EQ(Serve.stats(Idx).Completed, 6u);
 
-  // The arbiter probes the SLO window every tick; repeated probes with
-  // no new completions must reuse one sorted view (it used to copy and
-  // re-sort the whole window on every probe).
-  EXPECT_EQ(Serve.recentProbeSorts(Idx), 0u);
-  double P95 = Serve.recentLatencySec(Idx, 95);
-  EXPECT_GT(P95, 0.0);
-  EXPECT_EQ(Serve.recentProbeSorts(Idx), 1u);
-  for (int I = 0; I < 50; ++I) {
-    Serve.recentLatencySec(Idx, 95);
-    Serve.recentLatencySec(Idx, 50);
-  }
-  EXPECT_EQ(Serve.recentProbeSorts(Idx), 1u)
-      << "probes between completions re-sorted the window";
-
-  // A new completion dirties the window: exactly one more sort.
-  EXPECT_TRUE(Serve.inject(Idx));
-  Sim.run();
-  Serve.recentLatencySec(Idx, 95);
-  Serve.recentLatencySec(Idx, 95);
-  EXPECT_EQ(Serve.recentProbeSorts(Idx), 2u);
-
-  // Once the window ages out, the probe reports no signal (and has
-  // nothing to sort).
-  Sim.runUntil(Sim.now() + 200 * sim::MSec);
-  EXPECT_LT(Serve.recentLatencySec(Idx, 95), 0.0);
-  EXPECT_EQ(Serve.recentProbeSorts(Idx), 2u);
+  EXPECT_EQ(Serve.stats(Idx).Completed, 660u);
+  EXPECT_EQ(Log.size(), 660u);
+  EXPECT_EQ(MaxWindow, 512u) << "the cap never bounded the window";
+  EXPECT_GT(MaxTies, 0u) << "no tied latencies in the window";
+  EXPECT_EQ(Probes, 89u + 140u + 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -921,6 +963,18 @@ TEST(Stats, PercentileCacheSortsOncePerMutation) {
   EXPECT_EQ(S.sortsPerformed(), 3u);
   S.percentile(95);
   EXPECT_EQ(S.sortsPerformed(), 3u);
+}
+
+TEST(Stats, NearestRankIndex) {
+  EXPECT_EQ(nearestRankIndex(0, 1), 0u);
+  EXPECT_EQ(nearestRankIndex(100, 1), 0u);
+  EXPECT_EQ(nearestRankIndex(0, 5), 0u);   // P = 0 is the smallest
+  EXPECT_EQ(nearestRankIndex(20, 5), 0u);  // ceil(1.0) = rank 1
+  EXPECT_EQ(nearestRankIndex(21, 5), 1u);  // ceil(1.05) = rank 2
+  EXPECT_EQ(nearestRankIndex(50, 4), 1u);
+  EXPECT_EQ(nearestRankIndex(100, 5), 4u); // P = 100 is the largest
+  EXPECT_EQ(nearestRankIndex(1, 512), 5u); // ceil(5.12) = rank 6
+  EXPECT_EQ(nearestRankIndex(99, 512), 506u);
 }
 
 TEST(Stats, HistogramExposesPercentileSorts) {
