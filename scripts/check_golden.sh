@@ -3,9 +3,12 @@
 # deterministic Nona examples still print their golden output.
 #
 # Runs every bench_fig* plus bench_table8_5_throughput at its default seed,
-# bench_serve (default, --batch and --straggler), bench_checkpoint --serve,
-# and the examples example_compile_loop and example_platform_sharing, and
-# compares each one's stdout byte for byte with bench/golden/<name>.txt.
+# bench_serve (default, --batch and --straggler), bench_resilience
+# (default, --burst, --wedge and --straggler), bench_checkpoint (default,
+# --drain and --serve), bench_ablation_ch7, and the examples
+# example_compile_loop, example_platform_sharing, example_quickstart and
+# example_video_server, and compares each one's stdout byte for byte with
+# bench/golden/<name>.txt.
 # An entry is a binary plus its flags; <name> is the binary followed by
 # each flag without its leading dashes, joined by dots (bench_serve
 # --batch -> bench_serve.batch). At a fixed seed the output is
@@ -44,9 +47,18 @@ bench_table8_5_throughput
 bench_serve
 bench_serve --batch
 bench_serve --straggler
+bench_resilience
+bench_resilience --burst
+bench_resilience --wedge
+bench_resilience --straggler
+bench_checkpoint
+bench_checkpoint --drain
 bench_checkpoint --serve
+bench_ablation_ch7
 example_compile_loop
-example_platform_sharing"
+example_platform_sharing
+example_quickstart
+example_video_server"
 
 while read -r B ARGS; do
   case $B in

@@ -37,19 +37,15 @@ namespace parcae::rt {
 /// RegionRunner so the learned K survives reconfigurations.
 class ChunkPolicy {
 public:
-  struct Params {
-    std::uint64_t MinK = 1;
-    /// Cap keeps rewind windows and per-chunk drain obligations small.
-    std::uint64_t MaxK = 32;
-    /// Target: fixed overhead at most this fraction of chunk work.
-    double TargetOverheadFrac = 0.05;
-    /// Shrink K when any channel's occupancy exceeds this fraction of
-    /// its admission window (queue-delay growth = imbalance signal).
-    double PressureShrinkAbove = 0.5;
-  };
-
-  ChunkPolicy() = default;
-  explicit ChunkPolicy(Params P) : P(P) {}
+  /// K is learned online between these bounds.
+  static constexpr std::uint64_t MinK = 1;
+  /// Cap keeps rewind windows and per-chunk drain obligations small.
+  static constexpr std::uint64_t MaxK = 32;
+  /// Target: fixed overhead at most this fraction of chunk work.
+  static constexpr double TargetOverheadFrac = 0.05;
+  /// Shrink K when any channel's occupancy exceeds this fraction of
+  /// its admission window (queue-delay growth = imbalance signal).
+  static constexpr double PressureShrinkAbove = 0.5;
 
   /// Chunk size workers should claim right now.
   std::uint64_t current() const { return Pinned ? PinnedK : K; }
@@ -69,9 +65,9 @@ public:
   void degradeForPause() {
     if (Pinned)
       return;
-    if (K != P.MinK)
+    if (K != MinK)
       LastLearned = K;
-    K = P.MinK;
+    K = MinK;
   }
 
   /// Re-seeds K (clamped to [MinK, MaxK]); a no-op while pinned. Used
@@ -80,8 +76,8 @@ public:
   void seed(std::uint64_t NewK) {
     if (Pinned)
       return;
-    K = std::clamp(NewK, P.MinK, P.MaxK);
-    if (K != P.MinK)
+    K = std::clamp(NewK, MinK, MaxK);
+    if (K != MinK)
       LastLearned = K;
   }
 
@@ -92,7 +88,7 @@ public:
   /// Forgets the learned K. The runner calls this when a new execution
   /// starts under a scheme with no recorded K, so a value learned under
   /// a *different* scheme is never misattributed to this one.
-  void forgetLearned() { LastLearned = P.MinK; }
+  void forgetLearned() { LastLearned = MinK; }
 
   /// One tuning step from fresh measurements:
   ///  \p FixedOverhead  cycles of per-claim fixed cost (hooks, status
@@ -104,8 +100,8 @@ public:
               double Pressure) {
     if (Pinned)
       return;
-    if (Pressure > P.PressureShrinkAbove) {
-      K = std::max(P.MinK, K / 2);
+    if (Pressure > PressureShrinkAbove) {
+      K = std::max(MinK, K / 2);
       return;
     }
     if (ExecPerIter <= 0)
@@ -114,19 +110,16 @@ public:
     // the smallest power of two meeting the target is ideal — powers of
     // two keep chunk boundaries stable as K drifts.
     double Ideal = static_cast<double>(FixedOverhead) /
-                   (P.TargetOverheadFrac * static_cast<double>(ExecPerIter));
+                   (TargetOverheadFrac * static_cast<double>(ExecPerIter));
     std::uint64_t Want = 1;
-    while (static_cast<double>(Want) < Ideal && Want < P.MaxK)
+    while (static_cast<double>(Want) < Ideal && Want < MaxK)
       Want <<= 1;
-    K = std::clamp(Want, P.MinK, P.MaxK);
+    K = std::clamp(Want, MinK, MaxK);
   }
 
-  const Params &params() const { return P; }
-
 private:
-  Params P;
-  std::uint64_t K = 1;
-  std::uint64_t LastLearned = 1;
+  std::uint64_t K = MinK;
+  std::uint64_t LastLearned = MinK;
   bool Pinned = false;
   std::uint64_t PinnedK = 1;
 };

@@ -7,6 +7,23 @@
 
 using namespace parcae::rt;
 
+namespace {
+/// Baseline iterations in INIT (the paper sets 10).
+constexpr unsigned Nseq = 10;
+/// Minimum relative throughput gain for a parallel scheme to be kept over
+/// SEQ (the profitability check at the end of Algorithm 4).
+constexpr double ProfitabilityGain = 1.05;
+/// Relative throughput drift in MONITOR that triggers re-calibration.
+constexpr double MonitorThreshold = 0.25;
+/// Polling period of the controller.
+constexpr parcae::sim::SimTime TickPeriod = 20 * parcae::sim::USec;
+/// Throughput sampling window in MONITOR.
+constexpr parcae::sim::SimTime MonitorWindow = 2 * parcae::sim::MSec;
+/// When two configurations are within this factor in throughput, prefer
+/// the one using fewer threads (saves energy, Section 6.4).
+constexpr double ThreadSavingSlack = 0.03;
+} // namespace
+
 const char *parcae::rt::ctrlStateName(CtrlState S) {
   switch (S) {
   case CtrlState::Init:
@@ -23,8 +40,8 @@ const char *parcae::rt::ctrlStateName(CtrlState S) {
   return "?";
 }
 
-RegionController::RegionController(RegionRunner &Runner, ControllerParams P)
-    : Runner(Runner), P(P), Sim(Runner.machine().sim()),
+RegionController::RegionController(RegionRunner &Runner)
+    : Runner(Runner), Sim(Runner.machine().sim()),
       OnlineCap(Runner.machine().onlineCores()) {
   Tel = telemetry::recorder();
   if (Tel) {
@@ -66,7 +83,7 @@ void RegionController::scheduleTick() {
   if (TickScheduled || St == CtrlState::Done)
     return;
   TickScheduled = true;
-  Sim.schedule(P.TickPeriod, [this] {
+  Sim.schedule(TickPeriod, [this] {
     TickScheduled = false;
     tick();
   });
@@ -99,7 +116,7 @@ std::uint64_t RegionController::measureWindowIters() const {
   // non-integral number of waves distorts the rate by up to one wave per
   // window. Use several waves and round up to a whole number of them.
   std::uint64_t D = Runner.config().totalThreads();
-  std::uint64_t W = std::max<std::uint64_t>(P.Nseq, 8 * D);
+  std::uint64_t W = std::max<std::uint64_t>(Nseq, 8 * D);
   return (W + D - 1) / D * D;
 }
 
@@ -111,7 +128,7 @@ bool RegionController::measureReady() const {
   // In MONITOR, additionally require a minimum wall-clock window so that
   // passive sampling is not dominated by burst noise.
   if (St == CtrlState::Monitor &&
-      Sim.now() < Window.startTime() + P.MonitorWindow)
+      Sim.now() < Window.startTime() + MonitorWindow)
     return false;
   return true;
 }
@@ -197,7 +214,7 @@ void RegionController::tick() {
           MonitorBaseThr = Thr;
         } else {
           double Rel = std::abs(Thr - MonitorBaseThr) / MonitorBaseThr;
-          if (Rel > P.MonitorThreshold) {
+          if (Rel > MonitorThreshold) {
             if (Tel)
               Tel->instant(TelPid, telemetry::TidController, "ctrl",
                            "monitor_drift",
@@ -248,7 +265,7 @@ void RegionController::enterInit() {
   RegionConfig SeqC = Runner.region().unitConfig(Scheme::Seq);
   Runner.start(SeqC);
   recordTrace(0);
-  beginMeasure(P.Nseq);
+  beginMeasure(Nseq);
 }
 
 void RegionController::enterCalibrate(RegionConfig C) {
@@ -420,11 +437,11 @@ void RegionController::finishSchemeSearch(double Thr) {
   // Profitability: a parallel scheme must beat the sequential baseline by
   // a margin; and among profitable candidates, small throughput slack is
   // traded for fewer threads (energy).
-  bool Profitable = Thr > Tseq * P.ProfitabilityGain;
+  bool Profitable = Thr > Tseq * ProfitabilityGain;
   if (Profitable) {
-    bool BetterThr = Thr > Best.Thr * (1 + P.ThreadSavingSlack);
+    bool BetterThr = Thr > Best.Thr * (1 + ThreadSavingSlack);
     bool SameThrFewerThreads =
-        Thr > Best.Thr * (1 - P.ThreadSavingSlack) &&
+        Thr > Best.Thr * (1 - ThreadSavingSlack) &&
         SchemeBest.C.totalThreads() < Best.C.totalThreads();
     if (BetterThr || SameThrFewerThreads)
       Best = SchemeBest;

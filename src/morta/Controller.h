@@ -45,28 +45,10 @@ enum class CtrlState { Init, Calibrate, Optimize, Monitor, Done };
 
 const char *ctrlStateName(CtrlState S);
 
-/// Tunables of the run-time controller.
-struct ControllerParams {
-  /// Baseline iterations in INIT (the paper sets 10).
-  unsigned Nseq = 10;
-  /// Minimum relative throughput gain for a parallel scheme to be kept
-  /// over SEQ (the profitability check at the end of Algorithm 4).
-  double ProfitabilityGain = 1.05;
-  /// Relative throughput drift in MONITOR that triggers re-calibration.
-  double MonitorThreshold = 0.25;
-  /// Polling period of the controller.
-  sim::SimTime TickPeriod = 20 * sim::USec;
-  /// Throughput sampling window in MONITOR.
-  sim::SimTime MonitorWindow = 2 * sim::MSec;
-  /// When two configurations are within this factor in throughput, prefer
-  /// the one using fewer threads (saves energy, Section 6.4).
-  double ThreadSavingSlack = 0.03;
-};
-
 /// Per-program run-time controller.
 class RegionController {
 public:
-  RegionController(RegionRunner &Runner, ControllerParams P = {});
+  explicit RegionController(RegionRunner &Runner);
 
   /// Starts controlling with \p ThreadBudget hardware threads. The runner
   /// must not have been started; the controller launches it in SEQ.
@@ -208,7 +190,6 @@ private:
   void finishSchemeSearch(double Thr);
 
   RegionRunner &Runner;
-  ControllerParams P;
   sim::Simulator &Sim;
 
   CtrlState St = CtrlState::Init;

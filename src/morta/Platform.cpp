@@ -47,8 +47,8 @@ private:
   unsigned LastReported = 0;
 };
 
-PlatformDaemon::PlatformDaemon(unsigned TotalThreads, SloParams SP)
-    : TotalThreads(TotalThreads), SP(SP) {
+PlatformDaemon::PlatformDaemon(unsigned TotalThreads)
+    : TotalThreads(TotalThreads) {
   assert(TotalThreads >= 1 && "platform needs at least one thread");
   Tel = telemetry::recorder();
   if (Tel) {
@@ -263,6 +263,18 @@ void PlatformDaemon::arbiterTick(sim::Simulator &Sim, sim::SimTime Period) {
   Sim.schedule(Period, [this, &Sim, Period] { arbiterTick(Sim, Period); });
 }
 
+namespace {
+/// A donor with an SLO must sit at or below this fraction of its target
+/// to give a thread away (headroom so the transfer does not immediately
+/// create a second violator).
+constexpr double DonorHeadroom = 0.75;
+/// A tenant that gained SLO budget returns it once its latency falls to
+/// or below this fraction of its target (load dropped).
+constexpr double ReturnHeadroom = 0.5;
+/// Minimum budget any tenant is left with after donating.
+constexpr unsigned MinBudget = 1;
+} // namespace
+
 void PlatformDaemon::sloRebalanceOnce() {
   if (Programs.size() < 2)
     return;
@@ -312,9 +324,9 @@ void PlatformDaemon::sloRebalanceOnce() {
   // tick to the most SLO-indebted lender.
   for (std::size_t I = 0; I < Programs.size(); ++I) {
     Entry &E = Programs[I];
-    if (E.SloNet <= 0 || E.Budget <= SP.MinBudget)
+    if (E.SloNet <= 0 || E.Budget <= MinBudget)
       continue;
-    if (Ratio[I] < 0 || Ratio[I] > SP.ReturnHeadroom)
+    if (Ratio[I] < 0 || Ratio[I] > ReturnHeadroom)
       continue;
     std::size_t Lender = Programs.size();
     int MostLent = 0;
@@ -336,13 +348,13 @@ void PlatformDaemon::sloRebalanceOnce() {
     std::size_t Donor = Programs.size();
     double DonorKey = 0;
     for (std::size_t J = 0; J < Programs.size(); ++J) {
-      if (J == I || Programs[J].Budget <= SP.MinBudget)
+      if (J == I || Programs[J].Budget <= MinBudget)
         continue;
       const PlatformTenant *T = Programs[J].T;
       double Key;
       if (!T->hasSlo())
         Key = -1.0; // best donors: no latency promise
-      else if (Ratio[J] >= 0 && Ratio[J] <= SP.DonorHeadroom)
+      else if (Ratio[J] >= 0 && Ratio[J] <= DonorHeadroom)
         Key = Ratio[J];
       else
         continue; // violating, near target, or no data: not a donor

@@ -170,9 +170,7 @@ void RegionExec::abort() {
   ActiveWorkers = 0;
 }
 
-RegionExec::BlameVerdict RegionExec::blameScan(sim::SimTime Now,
-                                               sim::SimTime Threshold,
-                                               sim::SimTime Margin) const {
+RegionExec::BlameVerdict RegionExec::blameScan(sim::SimTime Now) const {
   BlameVerdict V;
   // A culprit worker is one that cannot make progress on its own: its
   // thread is stranded on a dead core, or blocked outside every runtime
@@ -228,12 +226,35 @@ RegionExec::BlameVerdict RegionExec::blameScan(sim::SimTime Now,
     return V;
   V.TaskIdx = BestT;
   V.OldestBeat = BestBeat;
-  if (Now - BestBeat < Threshold)
+  if (Now - BestBeat < BlameThreshold)
     return V; // not silent long enough to convict
-  if (HaveSecond && SecondBeat - BestBeat < Margin)
+  if (HaveSecond && SecondBeat - BestBeat < BlameMargin)
     return V; // a second task is almost as silent: ambiguous
   V.Blamed = true;
   return V;
+}
+
+void RegionExec::replaceWorker(Worker *W, bool Clone) {
+  unsigned TaskIdx = W->taskIdx();
+  unsigned Slot = W->slot();
+  // Delist before anything that can dispatch: reentrant callbacks must
+  // never observe the half-dead worker.
+  auto &List = ActiveByTask[TaskIdx];
+  auto It = std::find(List.begin(), List.end(), W);
+  assert(It != List.end());
+  List.erase(It);
+  assert(HasWorker[TaskIdx][Slot]);
+  HasWorker[TaskIdx][Slot] = false;
+  assert(ActiveWorkers > 0);
+  --ActiveWorkers;
+  // Salvage produced-but-unsent output tokens; they are below the
+  // frontier of what downstream has seen and must not be lost. The
+  // Worker body outlives its thread (the Machine owns both), so the
+  // clone may read W after terminate.
+  std::vector<std::vector<Token>> Salvage = std::move(W->SendBufs);
+  std::uint64_t CursorFrom = W->CursorFrom;
+  M.terminate(W->Thread);
+  spawnWorker(TaskIdx, Slot, CursorFrom, &Salvage, Clone ? W : nullptr);
 }
 
 RegionExec::RestartResult RegionExec::restartTask(unsigned TaskIdx) {
@@ -279,25 +300,7 @@ RegionExec::RestartResult RegionExec::restartTask(unsigned TaskIdx) {
       W->Chunk.clear();
       W->ChunkNext = 0;
     }
-    // Delist before anything that can dispatch: reentrant callbacks must
-    // never observe the half-dead worker.
-    auto &List = ActiveByTask[TaskIdx];
-    auto It = std::find(List.begin(), List.end(), W);
-    assert(It != List.end());
-    List.erase(It);
-    assert(HasWorker[TaskIdx][W->slot()]);
-    HasWorker[TaskIdx][W->slot()] = false;
-    assert(ActiveWorkers > 0);
-    --ActiveWorkers;
-    // Salvage produced-but-unsent output tokens; they are below the
-    // frontier of what downstream has seen and must not be lost. The
-    // Worker body outlives its thread (the Machine owns both), so the
-    // move is safe after terminate too — but take it first for clarity.
-    std::vector<std::vector<Token>> Salvage = std::move(W->SendBufs);
-    unsigned Slot = W->slot();
-    std::uint64_t CursorFrom = W->CursorFrom;
-    M.terminate(W->Thread);
-    spawnWorker(TaskIdx, Slot, CursorFrom, &Salvage);
+    replaceWorker(W, /*Clone=*/false);
     ++Res.Restarted;
   }
 
@@ -349,27 +352,13 @@ RegionExec::speculateLaggard(sim::SimTime Now, sim::SimTime AgeThreshold) {
     return Res;
 
   unsigned TaskIdx = Lag->taskIdx();
-  unsigned Slot = Lag->slot();
   std::uint64_t Seq = Lag->Cursor;
 
-  // From here this mirrors restartTask: delist the loser before anything
-  // that can dispatch, salvage its unsent outputs, cancel its in-flight
-  // slice (terminate bumps the core's slice epoch, so the queued endSlice
-  // no-ops), and install the clone's state before its thread can run. A
-  // terminated thread never resumes, so the loser can never reach
-  // IterDone: the clone's retirement is the only one.
-  auto &List = ActiveByTask[TaskIdx];
-  auto It = std::find(List.begin(), List.end(), Lag);
-  assert(It != List.end());
-  List.erase(It);
-  assert(HasWorker[TaskIdx][Slot]);
-  HasWorker[TaskIdx][Slot] = false;
-  assert(ActiveWorkers > 0);
-  --ActiveWorkers;
-  std::vector<std::vector<Token>> Salvage = std::move(Lag->SendBufs);
-  std::uint64_t CursorFrom = Lag->CursorFrom;
-  M.terminate(Lag->Thread);
-  spawnWorker(TaskIdx, Slot, CursorFrom, &Salvage, Lag);
+  // Terminating the loser cancels its in-flight slice (terminate bumps the
+  // core's slice epoch, so the queued endSlice no-ops) and a terminated
+  // thread never resumes, so the loser can never reach IterDone: the
+  // clone's retirement is the only one.
+  replaceWorker(Lag, /*Clone=*/true);
   ++Speculations;
   updateLowWater(TaskIdx);
   beat(TaskIdx);

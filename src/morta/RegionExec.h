@@ -139,15 +139,21 @@ public:
     unsigned CulpritWorkers = 0; ///< culprit workers across all tasks
   };
 
+  /// A task is only blamed when its oldest culprit worker has been
+  /// silent at least this long.
+  static constexpr sim::SimTime BlameThreshold = 2 * sim::MSec;
+  /// Blame is ambiguous when a second task's culprit is within this
+  /// margin of the oldest one.
+  static constexpr sim::SimTime BlameMargin = 500 * sim::USec;
+
   /// Scans every live worker for culprits — threads stranded on a dead
   /// core, or blocked outside every runtime wait (wedged in user code) —
-  /// and blames the task whose oldest culprit beat is past \p Threshold.
+  /// and blames the task whose oldest culprit beat is past BlameThreshold.
   /// The verdict is ambiguous (Blamed = false) when a second task's
-  /// culprit is within \p Margin of the oldest: restarting one task on
+  /// culprit is within BlameMargin of the oldest: restarting one task on
   /// thin evidence while another is equally silent risks restarting the
   /// victim, so the caller falls back to abortive recovery.
-  BlameVerdict blameScan(sim::SimTime Now, sim::SimTime Threshold,
-                         sim::SimTime Margin) const;
+  BlameVerdict blameScan(sim::SimTime Now) const;
 
   /// Outcome of a surgical task restart.
   struct RestartResult {
@@ -294,6 +300,13 @@ private:
   Worker *spawnWorker(unsigned TaskIdx, unsigned Slot, std::uint64_t CursorFrom,
                       std::vector<std::vector<Token>> *Salvage = nullptr,
                       const Worker *CloneOf = nullptr);
+
+  /// Replaces the live worker \p W by a fresh thread at its position:
+  /// delists it, salvages its unsent output tokens, terminates its thread
+  /// and spawns the replacement, which with \p Clone inherits W's
+  /// in-flight iteration (see spawnWorker). Shared by restartTask and
+  /// speculateLaggard.
+  void replaceWorker(Worker *W, bool Clone);
 
   std::vector<Link *> &inLinks(unsigned TaskIdx) { return InLinks[TaskIdx]; }
   std::vector<Link *> &outLinks(unsigned TaskIdx) { return OutLinks[TaskIdx]; }

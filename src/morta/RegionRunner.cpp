@@ -47,7 +47,7 @@ void RegionRunner::start(RegionConfig Initial, std::uint64_t StartSeq) {
 
 void RegionRunner::noteLearnedK() {
   std::uint64_t K = std::max(Chunking.current(), Chunking.lastLearned());
-  if (!Chunking.pinned() && K > Chunking.params().MinK)
+  if (!Chunking.pinned() && K > ChunkPolicy::MinK)
     LearnedK[Config.S] = K;
 }
 

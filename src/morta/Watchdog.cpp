@@ -7,6 +7,11 @@
 
 using namespace parcae::rt;
 
+namespace {
+/// Polling period. Detection latency is at most one period.
+constexpr parcae::sim::SimTime Period = 250 * parcae::sim::USec;
+} // namespace
+
 Watchdog::Watchdog(RegionController &Ctrl, WatchdogParams P)
     : Ctrl(Ctrl), Runner(Ctrl.runner()), M(Runner.machine()), P(P) {
   Tel = telemetry::recorder();
@@ -38,7 +43,7 @@ void Watchdog::start() {
   };
   M.addDomainWarningListener(
       [this](const sim::FailureDomainEvent &D) { onDomainWarning(D); });
-  M.sim().schedule(P.Period, [this] { tick(); });
+  M.sim().schedule(Period, [this] { tick(); });
 }
 
 void Watchdog::onDomainWarning(const sim::FailureDomainEvent &D) {
@@ -179,8 +184,7 @@ void Watchdog::tick() {
     bool InFlight = E->nextSeq() > E->startSeq() + E->iterationsRetired();
     if (InFlight) {
       ++Stalls;
-      RegionExec::BlameVerdict V =
-          E->blameScan(Now, P.BlameThreshold, P.BlameMargin);
+      RegionExec::BlameVerdict V = E->blameScan(Now);
       if (Tel) {
         sim::SimTime OldestBeat = Now;
         for (unsigned T = 0; T < E->numTasks(); ++T)
@@ -291,5 +295,5 @@ void Watchdog::tick() {
     }
   }
 
-  M.sim().schedule(P.Period, [this] { tick(); });
+  M.sim().schedule(Period, [this] { tick(); });
 }

@@ -48,18 +48,11 @@ namespace parcae::rt {
 
 /// Tunables of the liveness watchdog.
 struct WatchdogParams {
-  /// Polling period. Detection latency is at most one period.
-  sim::SimTime Period = 250 * sim::USec;
   /// No retired iteration for this long (with work in flight and no
-  /// transition in progress) counts as a stall.
+  /// transition in progress) counts as a stall. Kept above
+  /// RegionExec::BlameThreshold, so a genuine stall always has a
+  /// convictable culprit by the time it is detected.
   sim::SimTime StallThreshold = 4 * sim::MSec;
-  /// A task is only blamed when its oldest culprit worker has been silent
-  /// at least this long (kept below StallThreshold so a genuine stall
-  /// always has a convictable culprit by the time it is detected).
-  sim::SimTime BlameThreshold = 2 * sim::MSec;
-  /// Blame is ambiguous — fall back to abortive recovery — when a second
-  /// task's culprit is within this margin of the oldest one.
-  sim::SimTime BlameMargin = 500 * sim::USec;
   /// Speculative re-issue (straggler avoidance, serving mode): when
   /// commit progress has been quiet for SpecStallThreshold and the oldest
   /// in-flight iteration sits mid-compute on a *penalized* core, clone it

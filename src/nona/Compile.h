@@ -39,13 +39,6 @@
 
 namespace parcae::ir {
 
-struct CompilerOptions {
-  /// Minimum estimated cycles for a subgraph to be pipelined further;
-  /// lighter subgraphs coalesce into a single task (the paper's SCCmin
-  /// aggregation heuristic).
-  double SccMinWeight = 40.0;
-};
-
 /// One task of a partition: a set of SCC indices.
 struct TaskPlan {
   std::vector<unsigned> Sccs;
@@ -61,7 +54,7 @@ struct PartitionPlan {
 };
 
 /// Runs the PS-DSWP coalescing algorithm.
-PartitionPlan psdswpPartition(const PDG &P, const CompilerOptions &Opt);
+PartitionPlan psdswpPartition(const PDG &P);
 
 /// Verifies Invariant 4.3.1 on \p Plan:
 ///  1. every instruction is assigned to exactly one task,
@@ -77,8 +70,7 @@ class CompiledLoop {
 public:
   /// \p TripCount: number of iterations for counted loops (uncounted
   /// loops pass a generous bound; the head ends the stream itself).
-  CompiledLoop(const Function &F, AliasOracle AA, std::uint64_t TripCount,
-               CompilerOptions Opt = {});
+  CompiledLoop(const Function &F, AliasOracle AA, std::uint64_t TripCount);
   ~CompiledLoop();
   CompiledLoop(const CompiledLoop &) = delete;
   CompiledLoop &operator=(const CompiledLoop &) = delete;

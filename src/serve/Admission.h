@@ -45,8 +45,6 @@ class AdmissionPolicy {
 public:
   virtual ~AdmissionPolicy();
 
-  virtual const char *policyName() const = 0;
-
   /// Arrival-time decision: admit \p R into a queue currently holding
   /// \p QueueDepth of \p Capacity requests?
   virtual bool admit(const ServeRequest &R, std::size_t QueueDepth,
@@ -63,7 +61,6 @@ public:
 /// Baseline: admit while the queue has room, serve everything admitted.
 class DropTailAdmission : public AdmissionPolicy {
 public:
-  const char *policyName() const override { return "drop-tail"; }
   bool admit(const ServeRequest &, std::size_t QueueDepth,
              std::size_t Capacity) override {
     return QueueDepth < Capacity;
@@ -79,7 +76,6 @@ public:
   explicit DeadlineEarlyDrop(sim::SimTime MaxQueueWait)
       : MaxQueueWait(MaxQueueWait) {}
 
-  const char *policyName() const override { return "deadline-early-drop"; }
   bool admit(const ServeRequest &, std::size_t QueueDepth,
              std::size_t Capacity) override {
     return QueueDepth < Capacity;

@@ -107,8 +107,6 @@ public:
   static std::optional<std::vector<TraceSegment>>
   parseCsv(const std::string &Path);
 
-  const std::vector<TraceSegment> &segments() const { return Segments; }
-
 private:
   std::vector<TraceSegment> Segments;
   Rng R;

@@ -39,7 +39,8 @@ Machine::Machine(Simulator &Sim, unsigned NumCores, MachineConfig Cfg)
   assert(NumCores > 0 && "machine needs at least one core");
   // A nominal-rate core must never read as slow: quantum coalescing and
   // the rate sensor's no-op skip both rely on it.
-  assert(Cfg.SlowCoreThreshold <= 1.0 && "threshold above nominal rate");
+  static_assert(MachineConfig::SlowCoreThreshold <= 1.0,
+                "threshold above nominal rate");
   Tel = telemetry::recorder();
   if (Tel) {
     Tel->bindClock(Sim);
@@ -586,16 +587,15 @@ void Machine::noteSliceRate(unsigned CoreIdx) {
   // at a full replacement after RateTau of continuous observation.
   SimTime Wall = static_cast<SimTime>(static_cast<double>(C.SliceWork) *
                                       C.SliceDilation);
-  double Alpha =
-      Cfg.RateTau > 0 ? std::min(1.0, static_cast<double>(Wall) /
-                                          static_cast<double>(Cfg.RateTau))
-                      : 1.0;
-  double Prev = Now - C.RateSampledAt > Cfg.RateSampleTtl ? 1.0 : C.Rate;
+  constexpr double Tau = static_cast<double>(MachineConfig::RateTau);
+  double Alpha = std::min(1.0, static_cast<double>(Wall) / Tau);
+  double Prev =
+      Now - C.RateSampledAt > MachineConfig::RateSampleTtl ? 1.0 : C.Rate;
   C.Rate = Prev + Alpha * (1.0 / C.SliceDilation - Prev);
   C.RateSampledAt = Now;
   if (!Cfg.SlowCoreAvoidance)
     return;
-  bool Pen = C.Rate < Cfg.SlowCoreThreshold;
+  bool Pen = C.Rate < MachineConfig::SlowCoreThreshold;
   if (Pen == C.PenalizedMark)
     return;
   C.PenalizedMark = Pen;
@@ -616,7 +616,7 @@ double Machine::coreRate(unsigned CoreIdx) const {
   const Core &C = Cores[CoreIdx];
   // A stale estimate reads as nominal: an idle core cannot re-measure
   // itself, so after the TTL it gets the benefit of the doubt.
-  if (Sim.now() - C.RateSampledAt > Cfg.RateSampleTtl)
+  if (Sim.now() - C.RateSampledAt > MachineConfig::RateSampleTtl)
     return 1.0;
   return C.Rate;
 }
@@ -624,7 +624,7 @@ double Machine::coreRate(unsigned CoreIdx) const {
 bool Machine::corePenalized(unsigned CoreIdx) const {
   if (!Cfg.SlowCoreAvoidance || Cores[CoreIdx].Offline)
     return false;
-  if (coreRate(CoreIdx) < Cfg.SlowCoreThreshold)
+  if (coreRate(CoreIdx) < MachineConfig::SlowCoreThreshold)
     return true;
   // Live evidence: a running slice that has overstayed its healthy-core
   // schedule (overhead + work; wall == work at nominal speed) is lagging
@@ -638,7 +638,7 @@ bool Machine::corePenalized(unsigned CoreIdx) const {
     SimTime Sofar = Sim.now() - C.SliceAt;
     if (Expect > 0 && Sofar > Expect &&
         static_cast<double>(Expect) / static_cast<double>(Sofar) <
-            Cfg.SlowCoreThreshold)
+            MachineConfig::SlowCoreThreshold)
       return true;
   }
   return false;

@@ -182,14 +182,14 @@ struct MachineConfig {
   bool SlowCoreAvoidance = false;
   /// A core whose effective rate (1.0 = nominal) falls below this fraction
   /// is penalized in placement.
-  double SlowCoreThreshold = 0.75;
+  static constexpr double SlowCoreThreshold = 0.75;
   /// EWMA time constant for per-core rate samples: one slice's weight is
   /// proportional to its wall time, saturating at RateTau.
-  SimTime RateTau = 1 * MSec;
+  static constexpr SimTime RateTau = 1 * MSec;
   /// A rate estimate older than this reads as nominal again, so a slow
   /// core that went idle (nothing scheduled on it to re-measure) is
   /// re-probed instead of shunned forever.
-  SimTime RateSampleTtl = 15 * MSec;
+  static constexpr SimTime RateSampleTtl = 15 * MSec;
 };
 
 /// The simulated multicore machine.
@@ -320,7 +320,7 @@ public:
   unsigned penalizedCores() const;
 
   /// Minimum effective rate across online cores (1.0 on an idle or
-  /// healthy machine) — the Decima MinCoreRate sensor.
+  /// healthy machine) — the machine.core_rate gauge.
   double minCoreRate() const;
 
   /// Event counts over the machine's life (machine.* metrics).

@@ -173,7 +173,7 @@ TEST(ChunkPolicy, CapsAtMaxK) {
   ChunkPolicy P;
   // Pathologically fine iterations: the cap bounds the rewind window.
   P.retune(/*FixedOverhead=*/10'000, /*ExecPerIter=*/10, /*Pressure=*/0.0);
-  EXPECT_EQ(P.current(), P.params().MaxK);
+  EXPECT_EQ(P.current(), ChunkPolicy::MaxK);
 }
 
 TEST(ChunkPolicy, QueuePressureShrinks) {
@@ -208,23 +208,23 @@ TEST(ChunkPolicy, DegradeRecordsLearnedKAndSeedRestoresIt) {
   EXPECT_EQ(P.current(), 8u);
   // Seeding clamps to the legal range and itself counts as learned.
   P.seed(1000);
-  EXPECT_EQ(P.current(), P.params().MaxK);
-  EXPECT_EQ(P.lastLearned(), P.params().MaxK);
+  EXPECT_EQ(P.current(), ChunkPolicy::MaxK);
+  EXPECT_EQ(P.lastLearned(), ChunkPolicy::MaxK);
   // A degrade at MinK must not clobber the remembered K with 1.
   P.degradeForPause();
   P.degradeForPause();
-  EXPECT_EQ(P.lastLearned(), P.params().MaxK);
+  EXPECT_EQ(P.lastLearned(), ChunkPolicy::MaxK);
 }
 
 TEST(ChunkPolicy, ForgetLearnedResetsToMin) {
   ChunkPolicy P;
-  EXPECT_EQ(P.lastLearned(), P.params().MinK) << "nothing learned yet";
+  EXPECT_EQ(P.lastLearned(), ChunkPolicy::MinK) << "nothing learned yet";
   P.seed(16);
   ASSERT_EQ(P.lastLearned(), 16u);
   // A scheme switch with no recorded K for the new scheme forgets, so a
   // value learned under a different scheme is never misattributed.
   P.forgetLearned();
-  EXPECT_EQ(P.lastLearned(), P.params().MinK);
+  EXPECT_EQ(P.lastLearned(), ChunkPolicy::MinK);
   // Pinned policies ignore seeding entirely.
   P.pin(4);
   P.seed(32);

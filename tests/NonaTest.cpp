@@ -126,8 +126,7 @@ TEST(PartitionTest, InvariantHoldsOnAllPrograms) {
   for (auto &Make : benchmarkSuite(16)) {
     LoopProgram P = Make();
     PDG G(*P.F, P.AA);
-    CompilerOptions Opt;
-    PartitionPlan Plan = psdswpPartition(G, Opt);
+    PartitionPlan Plan = psdswpPartition(G);
     std::string Why;
     EXPECT_TRUE(checkCoalescenceInvariant(G, Plan, &Why))
         << P.Name << ": " << Why;
@@ -137,7 +136,7 @@ TEST(PartitionTest, InvariantHoldsOnAllPrograms) {
 TEST(PartitionTest, ChasePipelineShape) {
   LoopProgram P = makeChase(10);
   PDG G(*P.F, P.AA);
-  PartitionPlan Plan = psdswpPartition(G, CompilerOptions{});
+  PartitionPlan Plan = psdswpPartition(G);
   // Expect a pipeline with at least one sequential (traversal) task and
   // one parallel (payload) task.
   bool AnySeq = false, AnyPar = false;
@@ -349,7 +348,7 @@ TEST(PartitionTest, DualPipeIsANetwork) {
   // stages, in alternating pipeline order.
   LoopProgram P = makeDualPipe(16);
   PDG G(*P.F, P.AA);
-  PartitionPlan Plan = psdswpPartition(G, CompilerOptions{});
+  PartitionPlan Plan = psdswpPartition(G);
   unsigned Seq = 0, Par = 0;
   for (const TaskPlan &T : Plan.Tasks)
     (T.Parallel ? Par : Seq)++;

@@ -934,6 +934,115 @@ TEST(PlatformTenants, NoSloTenantIsThePreferredDonor) {
   EXPECT_EQ(Daemon.sloTransfers().front().To, "viol");
 }
 
+TEST(PlatformTenants, SloArbiterBoundaries) {
+  // The arbiter's fixed thresholds (Platform.cpp): a donor gives a thread
+  // at or below 0.75 x its target, a gainer hands it back at or below
+  // 0.5 x its target, and nobody donates below one thread. Every ratio
+  // here is exact in binary floating point.
+  const sim::SimTime Tick = sim::MSec + sim::USec;
+
+  // A donor at exactly 0.75 x target gives a thread on the first tick.
+  {
+    sim::Simulator Sim;
+    rt::PlatformDaemon Daemon(8);
+    FakeTenant Viol("viol"), Donor("donor");
+    Viol.HasSlo = true;
+    Viol.LatencySec = 2.0;
+    Donor.HasSlo = true;
+    Donor.TargetSec = 0.5;
+    Donor.LatencySec = 0.375; // 0.75 x 0.5
+    Daemon.addTenant(Viol);
+    Daemon.addTenant(Donor);
+    Daemon.startArbiter(Sim, sim::MSec);
+    Sim.runUntil(Tick);
+    Daemon.stopArbiter();
+    ASSERT_EQ(Daemon.sloTransfers().size(), 1u);
+    EXPECT_EQ(Daemon.sloTransfers().front().From, "donor");
+    EXPECT_EQ(Viol.Budget, 5u);
+    EXPECT_EQ(Donor.Budget, 3u);
+  }
+
+  // One ulp above the headroom, the same donor keeps its threads.
+  {
+    sim::Simulator Sim;
+    rt::PlatformDaemon Daemon(8);
+    FakeTenant Viol("viol"), Donor("donor");
+    Viol.HasSlo = true;
+    Viol.LatencySec = 2.0;
+    Donor.HasSlo = true;
+    Donor.TargetSec = 0.5;
+    Donor.LatencySec = std::nextafter(0.375, 1.0);
+    Daemon.addTenant(Viol);
+    Daemon.addTenant(Donor);
+    Daemon.startArbiter(Sim, sim::MSec);
+    Sim.runUntil(5 * Tick);
+    Daemon.stopArbiter();
+    EXPECT_TRUE(Daemon.sloTransfers().empty());
+    EXPECT_EQ(Viol.Budget, 4u);
+    EXPECT_EQ(Donor.Budget, 4u);
+  }
+
+  // Tenants at the one-thread minimum never donate, with an SLO and
+  // ample headroom or with no SLO at all.
+  {
+    sim::Simulator Sim;
+    rt::PlatformDaemon Daemon(3);
+    FakeTenant Viol("viol"), Meet("meet"), Plain("plain");
+    Viol.HasSlo = true;
+    Viol.LatencySec = 4.0;
+    Meet.HasSlo = true;
+    Meet.LatencySec = 0.1;
+    Daemon.addTenant(Viol);
+    Daemon.addTenant(Meet);
+    Daemon.addTenant(Plain);
+    ASSERT_EQ(Meet.Budget, 1u);
+    ASSERT_EQ(Plain.Budget, 1u);
+    Daemon.startArbiter(Sim, sim::MSec);
+    Sim.runUntil(5 * Tick);
+    Daemon.stopArbiter();
+    EXPECT_TRUE(Daemon.sloTransfers().empty());
+    EXPECT_EQ(Viol.Budget, 1u);
+    EXPECT_EQ(Meet.Budget, 1u);
+    EXPECT_EQ(Plain.Budget, 1u);
+  }
+
+  // A gainer hands its thread back at exactly 0.5 x target, not above.
+  {
+    sim::Simulator Sim;
+    rt::PlatformDaemon Daemon(8);
+    FakeTenant Viol("viol"), Meet("meet");
+    Viol.HasSlo = true;
+    Viol.LatencySec = 2.0;
+    Meet.HasSlo = true;
+    Meet.LatencySec = 0.2;
+    Daemon.addTenant(Viol);
+    Daemon.addTenant(Meet);
+    Daemon.startArbiter(Sim, sim::MSec);
+    Sim.runUntil(Tick);
+    ASSERT_EQ(Daemon.sloTransfers().size(), 1u);
+    ASSERT_EQ(Viol.Budget, 5u);
+
+    Viol.LatencySec = std::nextafter(0.5, 1.0); // meeting, no headroom
+    Sim.runUntil(4 * Tick);
+    EXPECT_EQ(Daemon.sloTransfers().size(), 1u);
+    EXPECT_EQ(Viol.Budget, 5u);
+
+    Viol.LatencySec = 0.5; // 0.5 x 1.0
+    Sim.runUntil(5 * Tick);
+    ASSERT_EQ(Daemon.sloTransfers().size(), 2u);
+    EXPECT_STREQ(Daemon.sloTransfers().back().Why, "return");
+    EXPECT_EQ(Daemon.sloTransfers().back().From, "viol");
+    EXPECT_EQ(Viol.Budget, 4u);
+    EXPECT_EQ(Meet.Budget, 4u);
+
+    // Nothing left to return: the budgets stay put.
+    Sim.runUntil(8 * Tick);
+    Daemon.stopArbiter();
+    EXPECT_EQ(Daemon.sloTransfers().size(), 2u);
+    EXPECT_EQ(Viol.Budget, 4u);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Percentile cache regression
 //===----------------------------------------------------------------------===//
